@@ -4,7 +4,8 @@ Raw per-game statistics are scaled to [0, 1] with direction-aware min-max
 scaling, players become points in included-criterion space, and similarity
 is distance under a Minkowski metric (Manhattan by default). The package
 also computes the Pearson correlation structure of the criteria and ships
-a 29-player 2017/18 league snapshot as its reference dataset.
+a 29-player 2017/18 league snapshot as its reference dataset. The names
+imported below are the public API.
 """
 
 from .correlation import (
@@ -74,67 +75,3 @@ from .schema import (
 from .special import regularized_incomplete_beta, student_t_cdf, student_t_two_tailed
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ColumnExtrema",
-    "ConstantColumn",
-    "CorrelationCell",
-    "CorrelationMatrix",
-    "CriteriaSchema",
-    "CriterionSpec",
-    "Dataset",
-    "DegenerateColumnWarning",
-    "DimensionMismatch",
-    "Direction",
-    "DuplicatePlayer",
-    "EmptyDataset",
-    "EmptySeries",
-    "EUCLIDEAN",
-    "InsufficientSamples",
-    "KOutOfRange",
-    "LengthMismatch",
-    "MANHATTAN",
-    "MetricChoice",
-    "MissingColumn",
-    "NormalizedMatrix",
-    "ParseError",
-    "PlayerRecord",
-    "PlayerVector",
-    "RankingEntry",
-    "ScatterSeries",
-    "SimilarityRanking",
-    "SimrankError",
-    "UnknownCriterion",
-    "UnknownPlayer",
-    "Violation",
-    "column_extrema",
-    "correlation_matrix",
-    "dataset_to_csv",
-    "distance_to_target",
-    "emit_ranking",
-    "emit_scatter",
-    "emit_scatter_svg",
-    "least_squares_line",
-    "load_dataset",
-    "load_reference_dataset",
-    "manhattan_distance",
-    "minkowski_distance",
-    "nearest_k",
-    "normalize",
-    "normalized_to_csv",
-    "pearson",
-    "player_vector",
-    "rank_by_similarity",
-    "reference_schema",
-    "regularized_incomplete_beta",
-    "render_scatter_svg",
-    "scatter_data",
-    "schema_from_json",
-    "schema_to_json",
-    "significance_stars",
-    "student_t_cdf",
-    "student_t_two_tailed",
-    "top_correlated_pairs",
-    "two_tailed_p_value",
-    "validate",
-]

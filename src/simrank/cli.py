@@ -1,20 +1,23 @@
 """Command-line interface.
 
 Subcommands: rank, nearest, corr, scatter, dump-normalized, validate.
-Exit codes: 0 success, 1 usage error, 2 data/validation error. The
-bundled dataset and schema are used unless --data/--schema override them.
+Exit codes: 0 success, 1 usage error, 2 data/validation error, including
+unreadable files; each error or warning is one "simrank: error:" or
+"simrank: warning:" line on stderr. The bundled dataset and schema are
+used unless --data/--schema override them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .correlation import correlation_matrix, top_correlated_pairs
 from .dataset import Dataset, load_dataset, load_reference_dataset, validate
-from .errors import SimrankError
-from .metrics import EUCLIDEAN, MANHATTAN, MetricChoice
+from .errors import DegenerateColumnWarning, SimrankError
+from .metrics import EUCLIDEAN, MANHATTAN
 from .normalization import normalize
 from .ranking import SimilarityRanking, nearest_k, rank_by_similarity
 from .reports import (
@@ -42,24 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _add_data_options(sub: argparse.ArgumentParser) -> None:
@@ -71,23 +67,23 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="simrank", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    rank = commands.add_parser("rank", help="rank all players by similarity to a target")
-    rank.add_argument("--target", required=True)
-    rank.add_argument("--metric", choices=sorted(_METRICS), default="p1")
-    rank.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    _add_data_options(rank)
+    similar = argparse.ArgumentParser(add_help=False)  # options shared by rank and nearest
+    similar.add_argument("--target", required=True)
+    similar.add_argument("--metric", choices=sorted(_METRICS), default="p1")
+    similar.add_argument("--format", choices=["table", "csv", "json"], default="table")
+    _add_data_options(similar)
+
+    rank = commands.add_parser("rank", parents=[similar],
+                               help="rank all players by similarity to a target")
     rank.set_defaults(func=_cmd_rank)
 
-    nearest = commands.add_parser("nearest", help="the k players most similar to a target")
-    nearest.add_argument("--target", required=True)
-    nearest.add_argument("-k", dest="k", type=_positive_int, required=True, metavar="K")
-    nearest.add_argument("--metric", choices=sorted(_METRICS), default="p1")
-    nearest.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    _add_data_options(nearest)
+    nearest = commands.add_parser("nearest", parents=[similar],
+                                  help="the k players most similar to a target")
+    nearest.add_argument("-k", dest="k", type=_int_at_least(1), required=True, metavar="K")
     nearest.set_defaults(func=_cmd_nearest)
 
     corr = commands.add_parser("corr", help="criterion correlation matrix or top pairs")
-    corr.add_argument("--top", type=_nonnegative_int, metavar="K",
+    corr.add_argument("--top", type=_int_at_least(0), metavar="K",
                       help="emit only the K most correlated pairs")
     corr.add_argument("--format", choices=["table", "csv", "json"], default="table",
                       help="output format for --top (the matrix is always CSV)")
@@ -122,19 +118,15 @@ def _load(args: argparse.Namespace) -> Dataset:
     return load_reference_dataset(schema)
 
 
-def _metric(args: argparse.Namespace) -> MetricChoice:
-    return _METRICS[args.metric]
-
-
 def _cmd_rank(args: argparse.Namespace) -> int:
     matrix = normalize(_load(args))
-    ranking = rank_by_similarity(matrix, args.target, _metric(args))
+    ranking = rank_by_similarity(matrix, args.target, _METRICS[args.metric])
     sys.stdout.write(emit_ranking(ranking, args.format))
     return 0
 
 
 def _cmd_nearest(args: argparse.Namespace) -> int:
-    metric = _metric(args)
+    metric = _METRICS[args.metric]
     matrix = normalize(_load(args))
     entries = nearest_k(matrix, args.target, args.k, metric)
     ranking = SimilarityRanking(args.target, metric, tuple(entries))
@@ -146,10 +138,9 @@ def _cmd_corr(args: argparse.Namespace) -> int:
     matrix = correlation_matrix(_load(args))
     if args.top is None:
         sys.stdout.write(correlation_to_csv(matrix))
-        return 0
-    cells = top_correlated_pairs(matrix, args.top)
-    render = {"table": top_pairs_table, "csv": top_pairs_csv, "json": top_pairs_json}[args.format]
-    sys.stdout.write(render(cells))
+    else:
+        render = {"table": top_pairs_table, "csv": top_pairs_csv, "json": top_pairs_json}[args.format]
+        sys.stdout.write(render(top_correlated_pairs(matrix, args.top)))
     return 0
 
 
@@ -169,12 +160,12 @@ def _cmd_dump_normalized(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     violations = validate(_load(args))
-    if not violations:
-        print("ok")
-        return 0
-    for violation in violations:
-        print(violation)
-    return 2
+    print("\n".join(map(str, violations)) or "ok")
+    return 2 if violations else 0
+
+
+def _print_warning(message, *_) -> None:
+    print(f"simrank: warning: {message}", file=sys.stderr)
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -190,11 +181,14 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # --help
         code = exc.code
         return code if isinstance(code, int) else 0
-    try:
-        return args.func(args)
-    except SimrankError as exc:
-        print(f"simrank: error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", DegenerateColumnWarning)  # whatever -W says
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (SimrankError, OSError, ValueError) as exc:  # bad files and data, not usage
+            print(f"simrank: error: {exc}", file=sys.stderr)
+            return 2
 
 
 def main() -> None:

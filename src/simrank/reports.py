@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Iterable, Sequence, Union
 from xml.sax.saxutils import escape
 
 from .correlation import CorrelationCell, CorrelationMatrix
@@ -35,29 +35,41 @@ class ScatterSeries:
     trend: tuple[float, float] | None = None  # (slope, intercept)
 
 
+def _table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Header and rows with cells joined by two spaces, one line each."""
+    return "".join("  ".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
+def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Header and rows as CSV; the csv module writes floats with repr()."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _json(payload: object) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _records(keys: Sequence[str], rows: Iterable[Sequence[object]]) -> list[dict]:
+    return [dict(zip(keys, row)) for row in rows]
+
+
+_RANKING = ("rank", "player", "distance")
+
+
 def emit_ranking(ranking: SimilarityRanking, fmt: str = "table") -> str:
     """Render a ranking as 'table' (3-decimal distances), 'csv' or 'json'."""
+    rows = [(e.rank, e.player, e.distance) for e in ranking.entries]
     if fmt == "table":
-        lines = ["rank  player  distance"]
-        lines += [f"{e.rank}  {e.player}  {e.distance:.3f}" for e in ranking.entries]
-        return "\n".join(lines) + "\n"
+        return _table(_RANKING, [(r, p, f"{d:.3f}") for r, p, d in rows])
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["rank", "player", "distance"])
-        for e in ranking.entries:
-            writer.writerow([e.rank, e.player, repr(e.distance)])
-        return out.getvalue()
+        return _csv(_RANKING, rows)
     if fmt == "json":
-        payload = {
-            "target": ranking.target,
-            "metric_p": ranking.metric.p,
-            "entries": [
-                {"rank": e.rank, "player": e.player, "distance": e.distance}
-                for e in ranking.entries
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return _json({"target": ranking.target, "metric_p": ranking.metric.p,
+                      "entries": _records(_RANKING, rows)})
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -89,26 +101,19 @@ def scatter_data(dataset: Dataset, x: str, y: str, with_trend: bool = False) -> 
 
 def emit_scatter(series: ScatterSeries, fmt: str = "csv") -> str:
     """Render scatter data as 'csv' (points, optional trend comment) or 'json'."""
+    trend = series.trend
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["player", series.x_criterion, series.y_criterion])
-        for name, xv, yv in series.points:
-            writer.writerow([name, repr(xv), repr(yv)])
-        text = out.getvalue()
-        if series.trend is not None:
-            slope, intercept = series.trend
-            text += f"# trend slope={slope!r} intercept={intercept!r}\n"
+        text = _csv(("player", series.x_criterion, series.y_criterion), series.points)
+        if trend is not None:
+            text += f"# trend slope={trend[0]!r} intercept={trend[1]!r}\n"
         return text
     if fmt == "json":
-        payload = {
+        return _json({
             "x_criterion": series.x_criterion,
             "y_criterion": series.y_criterion,
-            "points": [{"player": n, "x": xv, "y": yv} for n, xv, yv in series.points],
-            "trend": None if series.trend is None else
-            {"slope": series.trend[0], "intercept": series.trend[1]},
-        }
-        return json.dumps(payload, indent=2) + "\n"
+            "points": _records(("player", "x", "y"), series.points),
+            "trend": None if trend is None else dict(zip(("slope", "intercept"), trend)),
+        })
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -201,52 +206,34 @@ def emit_scatter_svg(series: ScatterSeries, output: Union[str, Path, IO[str]]) -
 
 def normalized_to_csv(matrix: NormalizedMatrix, decimals: int = 6) -> str:
     """The scaled matrix as CSV with fixed-point values (default 6 decimals)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["Player", *matrix.criteria])
-    for player, row in zip(matrix.players, matrix.values):
-        writer.writerow([player, *(f"{v:.{decimals}f}" for v in row)])
-    return out.getvalue()
+    return _csv(("Player", *matrix.criteria),
+                [(player, *(f"{v:.{decimals}f}" for v in row))
+                 for player, row in zip(matrix.players, matrix.values)])
 
 
 def correlation_to_csv(matrix: CorrelationMatrix) -> str:
     """The full correlation matrix as CSV with full-precision rho values."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["criterion", *matrix.criteria])
-    for name, row in zip(matrix.criteria, matrix.cells):
-        writer.writerow([name, *(repr(c.rho) for c in row)])
-    return out.getvalue()
+    return _csv(("criterion", *matrix.criteria),
+                [(name, *(c.rho for c in row)) for name, row in zip(matrix.criteria, matrix.cells)])
+
+
+_PAIRS = ("criterion_a", "criterion_b", "rho", "p_value", "stars")
+
+
+def _pair_rows(cells: Sequence[CorrelationCell]) -> list[tuple]:
+    return [(c.criterion_a, c.criterion_b, c.rho, c.p_value, c.stars) for c in cells]
 
 
 def top_pairs_table(cells: Sequence[CorrelationCell]) -> str:
     """Readable top-k listing: pair, rho to 2 decimals, p-value, stars."""
-    lines = ["pair  rho  p_value  stars"]
-    for c in cells:
-        lines.append(
-            f"{c.criterion_a}/{c.criterion_b}  {c.rho:.2f}  {c.p_value:.3g}  {c.stars}"
-        )
-    return "\n".join(lines) + "\n"
+    return _table(("pair", "rho", "p_value", "stars"),
+                  [(f"{a}/{b}", f"{rho:.2f}", f"{p:.3g}", stars)
+                   for a, b, rho, p, stars in _pair_rows(cells)])
 
 
 def top_pairs_csv(cells: Sequence[CorrelationCell]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["criterion_a", "criterion_b", "rho", "p_value", "stars"])
-    for c in cells:
-        writer.writerow([c.criterion_a, c.criterion_b, repr(c.rho), repr(c.p_value), c.stars])
-    return out.getvalue()
+    return _csv(_PAIRS, _pair_rows(cells))
 
 
 def top_pairs_json(cells: Sequence[CorrelationCell]) -> str:
-    payload = [
-        {
-            "criterion_a": c.criterion_a,
-            "criterion_b": c.criterion_b,
-            "rho": c.rho,
-            "p_value": c.p_value,
-            "stars": c.stars,
-        }
-        for c in cells
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return _json(_records(_PAIRS, _pair_rows(cells)))

@@ -115,6 +115,9 @@ def schema_from_json(source: Union[str, Path, IO[str]]) -> CriteriaSchema:
     items = json.loads(text)
     criteria = []
     for item in items:
-        direction = Direction(item["direction"])
-        criteria.append(CriterionSpec(item["name"], direction, bool(item.get("included", True))))
+        included = item.get("included", True)
+        if not isinstance(included, bool):
+            raise ValueError(f"criterion {item['name']!r}: included must be true or false, "
+                             f"got {included!r}")
+        criteria.append(CriterionSpec(item["name"], Direction(item["direction"]), included))
     return CriteriaSchema(tuple(criteria))

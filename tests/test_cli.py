@@ -228,3 +228,47 @@ def test_schema_override(capsys, tmp_path):
     )
     assert code == 0
     assert len(out.splitlines()) == 3
+
+
+def _write(path, data):
+    (path.write_bytes if isinstance(data, bytes) else path.write_text)(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    "missing data file", "data is a directory", "data not UTF-8", "svg directory missing",
+    "schema not JSON", "schema direction invalid", "schema included not boolean",
+])
+def test_file_errors_are_one_line_exit_two(capsys, tmp_path, case):
+    schema = tmp_path / "schema.json"
+    argv = {
+        "missing data file": ["rank", "--target", "Messi", "--data", str(tmp_path / "nope.csv")],
+        "data is a directory": ["rank", "--target", "Messi", "--data", str(tmp_path)],
+        "data not UTF-8": ["validate", "--data", _write(tmp_path / "latin1.csv",
+                                                         "Player,SpG\nMüller,1\n".encode("latin-1"))],
+        "svg directory missing": ["scatter", "-x", "SpG", "-y", "KeyP",
+                                  "--svg", str(tmp_path / "missing" / "x.svg")],
+        "schema not JSON": ["validate", "--schema", _write(schema, '[{"name": ')],
+        "schema direction invalid": ["validate", "--schema", _write(
+            schema, '[{"name": "SpG", "direction": "up"}]')],
+        "schema included not boolean": ["validate", "--schema", _write(
+            schema, '[{"name": "SpG", "direction": "max", "included": "false"}]')],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("simrank: error: ")
+    assert err.count("\n") == 1
+
+
+def test_constant_column_warning_is_one_line(capsys, tmp_path):
+    schema = tmp_path / "schema.json"
+    schema.write_text('[{"name": "A", "direction": "max"}, {"name": "B", "direction": "max"}]',
+                      encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("Player,A,B\none,1,7\ntwo,2,7\nthree,3,7\n", encoding="utf-8")
+    for _ in range(2):  # the second run must warn too
+        code, out, err = run(capsys, "rank", "--target", "one",
+                             "--data", str(data), "--schema", str(schema))
+        assert code == 0
+        assert out.splitlines()[1] == "1  two  0.500"
+        assert err == "simrank: warning: column 'B' is constant; scaled to 0 for all players\n"

@@ -1,9 +1,9 @@
 """Byte pins for every CLI output: subcommand x format x option.
 
 Each entry is the argument vector and the sha256 of the bytes it writes to
-stdout (or, for ``--svg``, to the file named by ``{svg}``). The digests were
-taken from the code before the report writers were merged, so any change to
-the output bytes of any subcommand fails here by name.
+stdout (or, for ``--svg``, to the file named by ``{svg}``). Any change to
+the output bytes of any subcommand fails here by name; change a digest only
+together with a declared change of output.
 """
 
 import hashlib

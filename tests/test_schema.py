@@ -74,3 +74,15 @@ def test_schema_from_json_string_literal():
     text = '[{"name": "A", "direction": "min", "included": true}]'
     schema = schema_from_json(text)
     assert schema.criteria[0].direction is Direction.MINIMIZE
+
+
+@pytest.mark.parametrize("flag", ['"false"', '"true"', "0", "1", "null"])
+def test_included_must_be_a_json_boolean(flag):
+    text = f'[{{"name": "A", "direction": "max", "included": {flag}}}]'
+    with pytest.raises(ValueError, match="included must be true or false"):
+        schema_from_json(text)
+
+
+def test_included_false_excludes_the_criterion():
+    text = '[{"name": "A", "direction": "max"}, {"name": "B", "direction": "max", "included": false}]'
+    assert schema_from_json(text).included_names() == ("A",)
