@@ -12,6 +12,7 @@ from .correlation import (
     CorrelationCell,
     CorrelationMatrix,
     correlation_matrix,
+    least_squares_line,
     pearson,
     significance_stars,
     top_correlated_pairs,
@@ -59,7 +60,6 @@ from .reports import (
     emit_ranking,
     emit_scatter,
     emit_scatter_svg,
-    least_squares_line,
     normalized_to_csv,
     render_scatter_svg,
     scatter_data,

@@ -15,6 +15,7 @@ Stars follow the usual ladder: *** for p <= 0.01, ** for p <= 0.05,
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,6 +62,24 @@ class CorrelationMatrix:
         return self.cells[i][j]
 
 
+def _centre(xs: Sequence[float]) -> tuple[float, array, float]:
+    """Mean, deviations from it and their sum of squares; the deviations are packed
+    doubles, not float objects, since correlation_matrix holds every column at once."""
+    mean = math.fsum(xs) / len(xs)
+    deviations = array("d", [x - mean for x in xs])
+    return mean, deviations, math.fsum(d * d for d in deviations)
+
+
+def _rho(x: tuple[float, array, float], y: tuple[float, array, float]) -> float:
+    """Pearson rho of two columns already centred by ``_centre``."""
+    (_, dx, ss_x), (_, dy, ss_y) = x, y
+    if ss_x == 0.0 or ss_y == 0.0:
+        raise ConstantColumn()
+    rho = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
+    # rounding can push an exactly collinear pair a hair past +-1
+    return max(-1.0, min(1.0, rho))
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of two equal-length columns."""
     if len(xs) != len(ys):
@@ -68,17 +87,16 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
     if n < 3:
         raise InsufficientSamples(f"need at least 3 paired values, got {n}")
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
-    ss_x = math.fsum(d * d for d in dx)
-    ss_y = math.fsum(d * d for d in dy)
-    if ss_x == 0.0 or ss_y == 0.0:
-        raise ConstantColumn()
-    rho = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
-    # rounding can push an exactly collinear pair a hair past +-1
-    return max(-1.0, min(1.0, rho))
+    return _rho(_centre(xs), _centre(ys))
+
+
+def least_squares_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Ordinary least squares fit y = slope * x + intercept."""
+    (mean_x, dx, ss_x), (mean_y, dy, _) = _centre(xs), _centre(ys)
+    if ss_x == 0.0:
+        raise ConstantColumn("x")
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / ss_x
+    return slope, mean_y - slope * mean_x
 
 
 def two_tailed_p_value(rho: float, n: int) -> float:
@@ -111,20 +129,13 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
-def _cell(a: str, b: str, xs: Sequence[float], ys: Sequence[float], n: int) -> CorrelationCell:
-    try:
-        rho = pearson(xs, ys)
-    except ConstantColumn:
-        return CorrelationCell(a, b, math.nan, math.nan, "")
-    p = two_tailed_p_value(rho, n)
-    return CorrelationCell(a, b, rho, p, significance_stars(p))
-
-
 def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     """Full symmetric correlation matrix over the raw included criteria."""
-    criteria = dataset.schema.included_names()
-    columns = {c: dataset.column(c) for c in criteria}
     n = len(dataset.players)
+    if n < 3:
+        raise InsufficientSamples(f"need at least 3 paired values, got {n}")
+    criteria = dataset.schema.included_names()
+    centred = [_centre(dataset.column(c)) for c in criteria]
 
     grid: list[list[CorrelationCell]] = []
     for i, a in enumerate(criteria):
@@ -136,7 +147,13 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
                 mirror = grid[j][i]
                 row.append(CorrelationCell(a, b, mirror.rho, mirror.p_value, mirror.stars))
             else:
-                row.append(_cell(a, b, columns[a], columns[b], n))
+                try:
+                    rho = _rho(centred[i], centred[j])
+                except ConstantColumn:
+                    row.append(CorrelationCell(a, b, math.nan, math.nan, ""))
+                    continue
+                p = two_tailed_p_value(rho, n)
+                row.append(CorrelationCell(a, b, rho, p, significance_stars(p)))
         grid.append(row)
     return CorrelationMatrix(criteria, tuple(tuple(r) for r in grid))
 

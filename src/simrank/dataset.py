@@ -14,7 +14,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -115,6 +114,8 @@ def load_dataset(source: Source, schema: CriteriaSchema) -> Dataset:
     stream = _as_text_stream(source)
     try:
         return _read_rows(stream, schema)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{getattr(source, 'name', source)}: {exc}") from None
     finally:
         if isinstance(source, (str, Path)):
             stream.close()
@@ -181,8 +182,7 @@ def load_reference_dataset(schema: CriteriaSchema | None = None) -> Dataset:
     """The bundled 29-player 2017/18 league snapshot (WhoScored, through Jan 31)."""
     if schema is None:
         schema = reference_schema()
-    text = resources.files("simrank").joinpath("data", _REFERENCE_CSV).read_text(encoding="utf-8")
-    return load_dataset(io.StringIO(text), schema)
+    return load_dataset(Path(__file__).with_name("data") / _REFERENCE_CSV, schema)
 
 
 def _duplicates(names: Iterable[str]) -> list[str]:

@@ -56,11 +56,8 @@ def minkowski_distance(a: Vector, b: Vector, metric: MetricChoice = MANHATTAN) -
 
 
 def manhattan_distance(a: Vector, b: Vector) -> float:
-    """sum |a_k - b_k|, without the pow/root round trip of the general form."""
-    xs, ys = _coords(a), _coords(b)
-    if len(xs) != len(ys):
-        raise DimensionMismatch(f"vector lengths differ: {len(xs)} vs {len(ys)}")
-    return math.fsum(abs(x - y) for x, y in zip(xs, ys))
+    """sum |a_k - b_k|: the p = 1 case, exact because x ** 1.0 == x."""
+    return minkowski_distance(a, b, MANHATTAN)
 
 
 def player_vector(matrix: NormalizedMatrix, player: str) -> PlayerVector:

@@ -75,26 +75,21 @@ def normalize(dataset: Dataset) -> NormalizedMatrix:
     DegenerateColumnWarning and scale to 0 for every player.
     """
     criteria = dataset.schema.included_names()
-    players = dataset.player_names()
-    extrema = tuple(column_extrema(dataset, c) for c in criteria)
+    columns = [dataset.column(c) for c in criteria]
+    extrema = tuple(ColumnExtrema(c, min(col), max(col)) for c, col in zip(criteria, columns))
     degenerate = tuple(e.criterion for e in extrema if e.f_min == e.f_max)
     for name in degenerate:
         warnings.warn(f"column {name!r} is constant; scaled to 0 for all players",
                       DegenerateColumnWarning, stacklevel=2)
 
-    directions = {c: dataset.schema.get(c).direction for c in criteria}
-    rows = []
-    for record in dataset.players:
-        row = []
-        for e in extrema:
-            x = record.values[e.criterion]
-            spread = e.f_max - e.f_min
-            if spread == 0.0:
-                row.append(0.0)
-            elif directions[e.criterion] is Direction.MAXIMIZE:
-                row.append((x - e.f_min) / spread)
-            else:
-                row.append((e.f_max - x) / spread)
-        rows.append(tuple(row))
-
-    return NormalizedMatrix(players, criteria, tuple(rows), extrema, degenerate)
+    scaled = []
+    for e, column in zip(extrema, columns):
+        lo, hi = e.f_min, e.f_max
+        spread = hi - lo
+        if spread == 0.0:
+            scaled.append([0.0] * len(column))
+        elif dataset.schema.get(e.criterion).direction is Direction.MAXIMIZE:
+            scaled.append([(x - lo) / spread for x in column])
+        else:
+            scaled.append([(hi - x) / spread for x in column])
+    return NormalizedMatrix(dataset.player_names(), criteria, tuple(zip(*scaled)), extrema, degenerate)

@@ -12,15 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 from xml.sax.saxutils import escape
 
-from .correlation import CorrelationCell, CorrelationMatrix
+from .correlation import CorrelationCell, CorrelationMatrix, least_squares_line
 from .dataset import Dataset
-from .errors import ConstantColumn, EmptySeries, UnknownCriterion
+from .errors import EmptySeries
 from .normalization import NormalizedMatrix
 from .ranking import SimilarityRanking
 
@@ -73,30 +72,11 @@ def emit_ranking(ranking: SimilarityRanking, fmt: str = "table") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def least_squares_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Ordinary least squares fit y = slope * x + intercept."""
-    n = len(xs)
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    dx = [x - mean_x for x in xs]
-    ss_x = math.fsum(d * d for d in dx)
-    if ss_x == 0.0:
-        raise ConstantColumn("x")
-    slope = math.fsum(d * (y - mean_y) for d, y in zip(dx, ys)) / ss_x
-    return slope, mean_y - slope * mean_x
-
-
 def scatter_data(dataset: Dataset, x: str, y: str, with_trend: bool = False) -> ScatterSeries:
     """Raw (x, y) values per player for two criteria present in the dataset."""
-    columns = dataset.columns()
-    for name in (x, y):
-        if name not in columns:
-            raise UnknownCriterion(name, "criterion not in dataset")
-    points = tuple((p.name, p.values[x], p.values[y]) for p in dataset.players)
-    trend = None
-    if with_trend:
-        trend = least_squares_line([pt[1] for pt in points], [pt[2] for pt in points])
-    return ScatterSeries(x, y, points, trend)
+    xs, ys = dataset.column(x), dataset.column(y)
+    trend = least_squares_line(xs, ys) if with_trend else None
+    return ScatterSeries(x, y, tuple(zip(dataset.player_names(), xs, ys)), trend)
 
 
 def emit_scatter(series: ScatterSeries, fmt: str = "csv") -> str:

@@ -40,7 +40,7 @@ class CriterionSpec:
 
 @dataclass(frozen=True)
 class CriteriaSchema:
-    """Ordered collection of criteria; names are unique."""
+    """Ordered collection of criteria; names are unique and at least one is included."""
 
     criteria: tuple[CriterionSpec, ...]
 
@@ -49,6 +49,8 @@ class CriteriaSchema:
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate criterion names: {dupes}")
+        if not any(c.included for c in self.criteria):
+            raise ValueError("schema includes no criteria")
 
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.criteria)
@@ -66,34 +68,16 @@ class CriteriaSchema:
         return any(c.name == name for c in self.criteria)
 
 
-# Season-total columns carried by the bundled data but excluded from the
-# similarity space: they scale with matches played and duplicate the
-# per-game columns "Goals pg" / "As pg".
-_EXCLUDED = ("Games", "Goals", "Assists")
-_MINIMIZE = ("Offside", "Disp", "UnschTch", "Fouls")
-_COLUMN_ORDER = (
-    "Games", "Goals", "Assists", "SpG", "PS%", "AerW", "Dribbling",
-    "Fouled", "Offside", "Disp", "UnschTch", "KeyP", "AvPasses",
-    "Crosses", "LongB", "ThruB", "Tackles", "Fouls", "Goals pg", "As pg",
-)
-
-
 def reference_schema() -> CriteriaSchema:
     """Schema of the bundled 2017/18 dataset: 17 active criteria out of 20 columns.
 
     13 criteria are maximization criteria, 4 (Offside, Disp, UnschTch,
     Fouls) are minimization criteria. The three season totals (Games,
-    Goals, Assists) are present but excluded.
+    Goals, Assists) are present but excluded from the similarity space:
+    they scale with matches played and duplicate the per-game columns
+    "Goals pg" / "As pg".
     """
-    criteria = tuple(
-        CriterionSpec(
-            name=name,
-            direction=Direction.MINIMIZE if name in _MINIMIZE else Direction.MAXIMIZE,
-            included=name not in _EXCLUDED,
-        )
-        for name in _COLUMN_ORDER
-    )
-    return CriteriaSchema(criteria)
+    return schema_from_json(Path(__file__).with_name("data") / "reference_schema.json")
 
 
 def schema_to_json(schema: CriteriaSchema) -> str:
@@ -113,11 +97,15 @@ def schema_from_json(source: Union[str, Path, IO[str]]) -> CriteriaSchema:
         source = str(source)
         text = Path(source).read_text(encoding="utf-8") if not source.lstrip().startswith("[") else source
     items = json.loads(text)
+    named = isinstance(items, list) and all(isinstance(i, dict) and isinstance(i.get("name"), str)
+                                            for i in items)
+    if not named:
+        raise ValueError('schema must be a JSON array of objects with a "name"')
     criteria = []
     for item in items:
         included = item.get("included", True)
         if not isinstance(included, bool):
             raise ValueError(f"criterion {item['name']!r}: included must be true or false, "
                              f"got {included!r}")
-        criteria.append(CriterionSpec(item["name"], Direction(item["direction"]), included))
+        criteria.append(CriterionSpec(item["name"], Direction(item.get("direction")), included))
     return CriteriaSchema(tuple(criteria))

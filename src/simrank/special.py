@@ -43,27 +43,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITERATIONS + 1):
         m2 = 2 * m
-        # even step: numerator d_{2m}
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step: numerator d_{2m+1}
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # even step with numerator d_{2m}, then odd step with d_{2m+1}
+        for numerator in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                          -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + numerator * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + numerator / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

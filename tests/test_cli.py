@@ -238,9 +238,9 @@ def _write(path, data):
 @pytest.mark.parametrize("case", [
     "missing data file", "data is a directory", "data not UTF-8", "svg directory missing",
     "schema not JSON", "schema direction invalid", "schema included not boolean",
+    "schema item without name", "schema not an array", "schema includes no criteria",
 ])
 def test_file_errors_are_one_line_exit_two(capsys, tmp_path, case):
-    schema = tmp_path / "schema.json"
     argv = {
         "missing data file": ["rank", "--target", "Messi", "--data", str(tmp_path / "nope.csv")],
         "data is a directory": ["rank", "--target", "Messi", "--data", str(tmp_path)],
@@ -248,11 +248,16 @@ def test_file_errors_are_one_line_exit_two(capsys, tmp_path, case):
                                                          "Player,SpG\nMüller,1\n".encode("latin-1"))],
         "svg directory missing": ["scatter", "-x", "SpG", "-y", "KeyP",
                                   "--svg", str(tmp_path / "missing" / "x.svg")],
-        "schema not JSON": ["validate", "--schema", _write(schema, '[{"name": ')],
+        "schema not JSON": ["validate", "--schema", _write(tmp_path / "cut.json", '[{"name": ')],
         "schema direction invalid": ["validate", "--schema", _write(
-            schema, '[{"name": "SpG", "direction": "up"}]')],
+            tmp_path / "direction.json", '[{"name": "SpG", "direction": "up"}]')],
         "schema included not boolean": ["validate", "--schema", _write(
-            schema, '[{"name": "SpG", "direction": "max", "included": "false"}]')],
+            tmp_path / "flag.json", '[{"name": "SpG", "direction": "max", "included": "false"}]')],
+        "schema item without name": ["validate", "--schema", _write(
+            tmp_path / "no_name.json", '[{"direction": "max"}]')],
+        "schema not an array": ["validate", "--schema", _write(tmp_path / "obj.json", '{"a": 1}')],
+        "schema includes no criteria": ["rank", "--target", "Messi", "--schema", _write(
+            tmp_path / "none.json", '[{"name": "SpG", "direction": "max", "included": false}]')],
     }[case]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -272,3 +277,11 @@ def test_constant_column_warning_is_one_line(capsys, tmp_path):
         assert code == 0
         assert out.splitlines()[1] == "1  two  0.500"
         assert err == "simrank: warning: column 'B' is constant; scaled to 0 for all players\n"
+
+
+def test_decode_error_names_the_file(capsys, tmp_path):
+    path = _write(tmp_path / "latin1.csv", "Player,SpG\nMüller,1\n".encode("latin-1"))
+    code, _, err = run(capsys, "validate", "--data", path)
+    assert code == 2
+    assert err.startswith(f"simrank: error: {path}: ")
+    assert err.count("\n") == 1

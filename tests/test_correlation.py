@@ -179,3 +179,29 @@ def test_stars_assigned_from_p_values(reference_correlations):
         for cell in row:
             if cell.defined:
                 assert cell.stars == significance_stars(cell.p_value)
+
+
+def _assert_cells_equal_pearson(dataset):
+    m = correlation_matrix(dataset)
+    for a in m.criteria:
+        for b in m.criteria:
+            if a == b:
+                continue
+            cell = m.cell(a, b)
+            try:
+                rho = pearson(dataset.column(a), dataset.column(b))
+            except ConstantColumn:
+                assert math.isnan(cell.rho) and math.isnan(cell.p_value), (a, b)
+            else:
+                assert cell.rho == rho, (a, b)
+
+
+def test_matrix_cells_equal_pearson_exactly(reference_dataset):
+    _assert_cells_equal_pearson(reference_dataset)
+
+
+def test_matrix_cells_equal_pearson_with_constant_column():
+    _assert_cells_equal_pearson(build_dataset(
+        ["a", "b", "c", "d", "e"],
+        {"X": [1.5, 2.25, 3, 4.75, 0.1], "Y": [5, 5, 5, 5, 5], "Z": [2, 1, 4, 3, 9]},
+    ))

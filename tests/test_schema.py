@@ -86,3 +86,15 @@ def test_included_must_be_a_json_boolean(flag):
 def test_included_false_excludes_the_criterion():
     text = '[{"name": "A", "direction": "max"}, {"name": "B", "direction": "max", "included": false}]'
     assert schema_from_json(text).included_names() == ("A",)
+
+
+def test_schema_without_included_criteria_rejected():
+    with pytest.raises(ValueError, match="schema includes no criteria"):
+        CriteriaSchema((CriterionSpec("A", Direction.MAXIMIZE, included=False),))
+
+
+@pytest.mark.parametrize("text", ['{"name": "A", "direction": "max"}', '[{"direction": "max"}]',
+                                  '[{"name": 1, "direction": "max"}]', '["A"]'])
+def test_schema_must_be_an_array_of_named_objects(text):
+    with pytest.raises(ValueError, match="JSON array of objects"):
+        schema_from_json(io.StringIO(text))
