@@ -36,15 +36,6 @@ from .schema import reference_schema, schema_from_json
 _METRICS = {"p1": MANHATTAN, "p2": EUCLIDEAN}
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
-
-
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than ``low``."""
     def parse(text: str) -> int:
@@ -63,9 +54,9 @@ def _add_data_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--schema", metavar="JSON", help="schema file replacing the bundled schema")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="simrank", description=__doc__)
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="simrank", description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
 
     similar = argparse.ArgumentParser(add_help=False)  # options shared by rank and nearest
     similar.add_argument("--target", required=True)
@@ -100,7 +91,6 @@ def build_parser() -> _Parser:
     scatter.set_defaults(func=_cmd_scatter)
 
     dump = commands.add_parser("dump-normalized", help="the scaled [0,1] matrix")
-    dump.add_argument("--format", choices=["csv"], default="csv")
     _add_data_options(dump)
     dump.set_defaults(func=_cmd_dump_normalized)
 
@@ -170,17 +160,10 @@ def _print_warning(message, *_) -> None:
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        code = exc.code
-        return code if isinstance(code, int) else 0
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed a usage error (code 2) or --help (code 0)
+        return 1 if exc.code else 0
     with warnings.catch_warnings():
         warnings.simplefilter("always", DegenerateColumnWarning)  # whatever -W says
         warnings.showwarning = _print_warning

@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable
 
 from .errors import (
     DuplicatePlayer,
@@ -25,9 +25,7 @@ from .errors import (
     UnknownCriterion,
     UnknownPlayer,
 )
-from .schema import CriteriaSchema, reference_schema
-
-Source = Union[str, Path, IO[str], IO[bytes]]
+from .schema import CriteriaSchema, Source, _text_stream, reference_schema
 
 _REFERENCE_CSV = "whoscored_2018.csv"
 
@@ -82,17 +80,6 @@ class Dataset:
         return [p.values[name] for p in self.players]
 
 
-def _as_text_stream(source: Source) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig", newline="")
-    if hasattr(source, "read"):
-        probe = source.read(0)
-        if isinstance(probe, bytes):
-            return io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-        return source
-    raise TypeError(f"cannot read CSV from {type(source).__name__}")
-
-
 def _parse_cell(text: str, row: int, column: str) -> float:
     try:
         value = float(text.strip())
@@ -111,14 +98,8 @@ def load_dataset(source: Source, schema: CriteriaSchema) -> Dataset:
     DuplicatePlayer for repeated names, EmptyDataset if there are no data
     rows.
     """
-    stream = _as_text_stream(source)
-    try:
+    with _text_stream(source) as stream:
         return _read_rows(stream, schema)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{getattr(source, 'name', source)}: {exc}") from None
-    finally:
-        if isinstance(source, (str, Path)):
-            stream.close()
 
 
 def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:

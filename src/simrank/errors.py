@@ -82,7 +82,7 @@ class ConstantColumn(SimrankError):
 
 
 class InsufficientSamples(SimrankError):
-    """Fewer than three paired observations; the significance test needs n >= 3."""
+    """Too few observations: min-max scaling needs 2 players, the significance test n >= 3."""
 
 
 class EmptySeries(SimrankError):

@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .dataset import Dataset
-from .errors import DegenerateColumnWarning, UnknownCriterion, UnknownPlayer
+from .errors import DegenerateColumnWarning, InsufficientSamples, UnknownCriterion, UnknownPlayer
 from .schema import Direction
 
 
@@ -72,8 +72,12 @@ def normalize(dataset: Dataset) -> NormalizedMatrix:
     """Scale every included criterion of a valid dataset to [0, 1].
 
     Player and criterion order are preserved. Constant columns trigger a
-    DegenerateColumnWarning and scale to 0 for every player.
+    DegenerateColumnWarning and scale to 0 for every player. Fewer than 2
+    players raise InsufficientSamples.
     """
+    if len(dataset.players) < 2:
+        raise InsufficientSamples("min-max scaling needs at least 2 players, "
+                                  f"got {len(dataset.players)}")
     criteria = dataset.schema.included_names()
     columns = [dataset.column(c) for c in criteria]
     extrema = tuple(ColumnExtrema(c, min(col), max(col)) for c, col in zip(criteria, columns))

@@ -184,10 +184,10 @@ def emit_scatter_svg(series: ScatterSeries, output: Union[str, Path, IO[str]]) -
 
 # -- other tabular emitters ------------------------------------------------
 
-def normalized_to_csv(matrix: NormalizedMatrix, decimals: int = 6) -> str:
-    """The scaled matrix as CSV with fixed-point values (default 6 decimals)."""
+def normalized_to_csv(matrix: NormalizedMatrix) -> str:
+    """The scaled matrix as CSV with fixed-point values to 6 decimals."""
     return _csv(("Player", *matrix.criteria),
-                [(player, *(f"{v:.{decimals}f}" for v in row))
+                [(player, *(f"{v:.6f}" for v in row))
                  for player, row in zip(matrix.players, matrix.values)])
 
 

@@ -9,13 +9,18 @@ the best value.
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterator, Union
 
 from .errors import UnknownCriterion
+
+Source = Union[str, Path, IO[str], IO[bytes]]
 
 
 class Direction(Enum):
@@ -68,6 +73,7 @@ class CriteriaSchema:
         return any(c.name == name for c in self.criteria)
 
 
+@cache
 def reference_schema() -> CriteriaSchema:
     """Schema of the bundled 2017/18 dataset: 17 active criteria out of 20 columns.
 
@@ -75,7 +81,7 @@ def reference_schema() -> CriteriaSchema:
     Fouls) are minimization criteria. The three season totals (Games,
     Goals, Assists) are present but excluded from the similarity space:
     they scale with matches played and duplicate the per-game columns
-    "Goals pg" / "As pg".
+    "Goals pg" / "As pg". The schema is read once and shared; it is immutable.
     """
     return schema_from_json(Path(__file__).with_name("data") / "reference_schema.json")
 
@@ -89,23 +95,44 @@ def schema_to_json(schema: CriteriaSchema) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def schema_from_json(source: Union[str, Path, IO[str]]) -> CriteriaSchema:
-    """Load a schema from a JSON file path, an open text stream, or a JSON string."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        source = str(source)
-        text = Path(source).read_text(encoding="utf-8") if not source.lstrip().startswith("[") else source
-    items = json.loads(text)
+@contextmanager
+def _text_stream(source: Source) -> Iterator[IO[str]]:
+    """``source`` as a text stream: a path (str or Path) is opened as UTF-8 with
+    any BOM dropped and closed afterwards, a binary stream is decoded the same
+    way, a text stream passes through. A decode error or malformed JSON
+    becomes a ValueError that names the source."""
+    owned = isinstance(source, (str, Path))
+    stream = open(source, "rb") if owned else source
+    if not isinstance(stream.read(0), str):
+        stream = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
+    try:
+        yield stream
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        name = source if owned else getattr(source, "name", "<stream>")
+        raise ValueError(f"{name}: {exc}") from None
+    finally:
+        if owned:
+            stream.close()
+        elif stream is not source:
+            stream.detach()  # leave the caller's binary stream open
+
+
+def schema_from_json(source: Source) -> CriteriaSchema:
+    """Load a schema from a JSON file path or an open stream."""
+    with _text_stream(source) as stream:
+        items = json.load(stream)
     named = isinstance(items, list) and all(isinstance(i, dict) and isinstance(i.get("name"), str)
                                             for i in items)
     if not named:
         raise ValueError('schema must be a JSON array of objects with a "name"')
     criteria = []
     for item in items:
-        included = item.get("included", True)
+        name, direction, included = item["name"], item.get("direction"), item.get("included", True)
+        if direction not in ("max", "min"):
+            raise ValueError(f'criterion {name!r}: direction must be "max" or "min", '
+                             f"got {direction!r}")
         if not isinstance(included, bool):
-            raise ValueError(f"criterion {item['name']!r}: included must be true or false, "
+            raise ValueError(f"criterion {name!r}: included must be true or false, "
                              f"got {included!r}")
-        criteria.append(CriterionSpec(item["name"], Direction(item.get("direction")), included))
+        criteria.append(CriterionSpec(name, Direction(direction), included))
     return CriteriaSchema(tuple(criteria))

@@ -279,9 +279,25 @@ def test_constant_column_warning_is_one_line(capsys, tmp_path):
         assert err == "simrank: warning: column 'B' is constant; scaled to 0 for all players\n"
 
 
-def test_decode_error_names_the_file(capsys, tmp_path):
-    path = _write(tmp_path / "latin1.csv", "Player,SpG\nMüller,1\n".encode("latin-1"))
-    code, _, err = run(capsys, "validate", "--data", path)
+@pytest.mark.parametrize("option, text", [("--data", "Player,SpG\nMüller,1\n"),
+                                          ("--schema", '[{"name": "Müller", "direction": "max"}]'),
+                                          ("--schema", '[{"name": ')],
+                         ids=["data", "schema", "schema-json"])
+def test_decode_error_names_the_file(capsys, tmp_path, option, text):
+    path = _write(tmp_path / "latin1", text.encode("latin-1"))
+    code, _, err = run(capsys, "validate", option, path)
     assert code == 2
     assert err.startswith(f"simrank: error: {path}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("rank",), ("nearest", "-k", "1"), ("dump-normalized",)],
+                         ids=["rank", "nearest", "dump-normalized"])
+def test_one_player_is_refused(capsys, tmp_path, argv):
+    schema = _write(tmp_path / "schema.json", '[{"name": "A", "direction": "max"}]')
+    data = _write(tmp_path / "one.csv", "Player,A\none,1\n")
+    if argv[0] != "dump-normalized":
+        argv += ("--target", "one")
+    code, out, err = run(capsys, *argv, "--data", data, "--schema", schema)
+    assert (code, out) == (2, "")
+    assert err == "simrank: error: min-max scaling needs at least 2 players, got 1\n"

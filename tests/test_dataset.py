@@ -144,6 +144,12 @@ def test_bytes_stream_accepted(reference_dataset):
     assert load_dataset(stream, reference_schema()) == reference_dataset
 
 
+def test_bytes_stream_is_left_open():
+    stream = io.BytesIO(_reference_text().encode("utf-8"))
+    load_dataset(stream, reference_schema())
+    assert not stream.closed
+
+
 def test_unknown_player_lookup(reference_dataset):
     with pytest.raises(UnknownPlayer):
         reference_dataset.player("Nobody")

@@ -70,22 +70,46 @@ def test_sample_schema_file_matches_compiled():
     assert schema_from_json(SCHEMA_FILE) == reference_schema()
 
 
-def test_schema_from_json_string_literal():
+def test_schema_from_json_text_stream():
     text = '[{"name": "A", "direction": "min", "included": true}]'
-    schema = schema_from_json(text)
+    schema = schema_from_json(io.StringIO(text))
     assert schema.criteria[0].direction is Direction.MINIMIZE
+
+
+def test_reference_schema_is_read_once():
+    assert reference_schema() is reference_schema()
+
+
+def test_schema_file_with_bom(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + SCHEMA_FILE.read_bytes())
+    assert schema_from_json(path) == reference_schema()
+
+
+def test_schema_path_beginning_with_bracket(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("[v2] schema.json").write_bytes(SCHEMA_FILE.read_bytes())
+    assert schema_from_json("[v2] schema.json") == reference_schema()
+
+
+@pytest.mark.parametrize("item, shown", [('{"name": "SpG"}', "None"),
+                                         ('{"name": "SpG", "direction": "up"}', "'up'")])
+def test_direction_must_be_max_or_min(item, shown):
+    with pytest.raises(ValueError) as caught:
+        schema_from_json(io.StringIO(f"[{item}]"))
+    assert str(caught.value) == f"criterion 'SpG': direction must be \"max\" or \"min\", got {shown}"
 
 
 @pytest.mark.parametrize("flag", ['"false"', '"true"', "0", "1", "null"])
 def test_included_must_be_a_json_boolean(flag):
     text = f'[{{"name": "A", "direction": "max", "included": {flag}}}]'
     with pytest.raises(ValueError, match="included must be true or false"):
-        schema_from_json(text)
+        schema_from_json(io.StringIO(text))
 
 
 def test_included_false_excludes_the_criterion():
     text = '[{"name": "A", "direction": "max"}, {"name": "B", "direction": "max", "included": false}]'
-    assert schema_from_json(text).included_names() == ("A",)
+    assert schema_from_json(io.StringIO(text)).included_names() == ("A",)
 
 
 def test_schema_without_included_criteria_rejected():
