@@ -16,16 +16,15 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dataset import Dataset
-from .errors import ConstantColumn, InsufficientSamples, KOutOfRange, LengthMismatch, UnknownCriterion
+from .errors import (ConstantColumn, InsufficientSamples, KOutOfRange, LengthMismatch, SimrankError,
+                     UnknownCriterion)
 from .special import student_t_two_tailed
 
 
-@dataclass(frozen=True)
-class CorrelationCell:
+class CorrelationCell(NamedTuple):
     """One criterion pair: Pearson rho, two-tailed p-value, significance label.
 
     An undefined cell (a constant column is involved) carries NaN for rho
@@ -43,8 +42,7 @@ class CorrelationCell:
         return not math.isnan(self.rho)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(NamedTuple):
     """Symmetric grid of correlation cells with a unit diagonal."""
 
     criteria: tuple[str, ...]
@@ -136,6 +134,9 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
         raise InsufficientSamples(f"need at least 3 paired values, got {n}")
     criteria = dataset.schema.included_names()
     centred = [_centre(dataset.column(c)) for c in criteria]
+    for c, (_, _, ss) in zip(criteria, centred):
+        if not math.isfinite(ss):
+            raise SimrankError(f"column {c!r}: sum of squared deviations is not finite")
 
     grid: list[list[CorrelationCell]] = []
     for i, a in enumerate(criteria):

@@ -13,9 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import (
     DuplicatePlayer,
@@ -30,16 +29,14 @@ from .schema import CriteriaSchema, Source, _text_stream, reference_schema
 _REFERENCE_CSV = "whoscored_2018.csv"
 
 
-@dataclass(frozen=True)
-class PlayerRecord:
+class PlayerRecord(NamedTuple):
     """One player's raw statistics, keyed by criterion name."""
 
     name: str
     values: dict[str, float]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A broken dataset invariant, as a value rather than an exception."""
 
     rule: str
@@ -50,8 +47,7 @@ class Violation:
         return f"{self.rule}: {self.subject}: {self.message}"
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """Immutable matrix of raw values under a governing schema."""
 
     schema: CriteriaSchema
@@ -195,4 +191,8 @@ def validate(dataset: Dataset) -> list[Violation]:
             elif not math.isfinite(p.values[criterion]):
                 violations.append(Violation("NonFiniteValue", f"{p.name}/{criterion}",
                                             f"value is {p.values[criterion]!r}"))
+    for c in included:
+        finite = [v for p in dataset.players if math.isfinite(v := p.values.get(c, math.nan))]
+        if finite and not math.isfinite(max(finite) - min(finite)):
+            violations.append(Violation("NonFiniteSpread", c, "max - min is not finite"))
     return violations

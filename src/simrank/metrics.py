@@ -8,30 +8,28 @@ so the result does not depend on summation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import DimensionMismatch, UnknownPlayer
 from .normalization import NormalizedMatrix
 
 
-@dataclass(frozen=True)
-class MetricChoice:
+class MetricChoice(NamedTuple("_MetricChoice", [("p", float)])):
     """Distance exponent; p must be a finite real >= 1 for the triangle inequality."""
 
-    p: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.p) or self.p < 1.0:
-            raise ValueError(f"metric exponent must be finite and >= 1, got {self.p}")
+    def __new__(cls, p: float = 1.0):
+        if not math.isfinite(p) or p < 1.0:
+            raise ValueError(f"metric exponent must be finite and >= 1, got {p}")
+        return super().__new__(cls, p)
 
 
 MANHATTAN = MetricChoice(1.0)
 EUCLIDEAN = MetricChoice(2.0)
 
 
-@dataclass(frozen=True)
-class PlayerVector:
+class PlayerVector(NamedTuple):
     """One player's point in included-criterion space."""
 
     player: str

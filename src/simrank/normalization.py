@@ -13,16 +13,17 @@ round only for display.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .dataset import Dataset
-from .errors import DegenerateColumnWarning, InsufficientSamples, UnknownCriterion, UnknownPlayer
+from .errors import (DegenerateColumnWarning, InsufficientSamples, SimrankError, UnknownCriterion,
+                     UnknownPlayer)
 from .schema import Direction
 
 
-@dataclass(frozen=True)
-class ColumnExtrema:
+class ColumnExtrema(NamedTuple):
     """Exact minimum and maximum of one raw column."""
 
     criterion: str
@@ -30,14 +31,13 @@ class ColumnExtrema:
     f_max: float
 
 
-@dataclass(frozen=True)
-class NormalizedMatrix:
+class NormalizedMatrix(NamedTuple):
     """Players x included-criteria grid of values scaled to [0, 1]."""
 
     players: tuple[str, ...]
     criteria: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
-    extrema: tuple[ColumnExtrema, ...] = field(repr=False)
+    extrema: tuple[ColumnExtrema, ...]
     degenerate: tuple[str, ...] = ()
 
     def row(self, player: str) -> tuple[float, ...]:
@@ -73,7 +73,8 @@ def normalize(dataset: Dataset) -> NormalizedMatrix:
 
     Player and criterion order are preserved. Constant columns trigger a
     DegenerateColumnWarning and scale to 0 for every player. Fewer than 2
-    players raise InsufficientSamples.
+    players raise InsufficientSamples, and a column whose max - min is not
+    finite raises SimrankError.
     """
     if len(dataset.players) < 2:
         raise InsufficientSamples("min-max scaling needs at least 2 players, "
@@ -82,18 +83,20 @@ def normalize(dataset: Dataset) -> NormalizedMatrix:
     columns = [dataset.column(c) for c in criteria]
     extrema = tuple(ColumnExtrema(c, min(col), max(col)) for c, col in zip(criteria, columns))
     degenerate = tuple(e.criterion for e in extrema if e.f_min == e.f_max)
-    for name in degenerate:
-        warnings.warn(f"column {name!r} is constant; scaled to 0 for all players",
-                      DegenerateColumnWarning, stacklevel=2)
-
     scaled = []
     for e, column in zip(extrema, columns):
         lo, hi = e.f_min, e.f_max
         spread = hi - lo
+        if not math.isfinite(spread):
+            raise SimrankError(f"column {e.criterion!r}: max - min is not finite")
         if spread == 0.0:
             scaled.append([0.0] * len(column))
         elif dataset.schema.get(e.criterion).direction is Direction.MAXIMIZE:
             scaled.append([(x - lo) / spread for x in column])
         else:
             scaled.append([(hi - x) / spread for x in column])
+    # warn only once every column has scaled, so a refused table prints its error alone
+    for name in degenerate:
+        warnings.warn(f"column {name!r} is constant; scaled to 0 for all players",
+                      DegenerateColumnWarning, stacklevel=2)
     return NormalizedMatrix(dataset.player_names(), criteria, tuple(zip(*scaled)), extrema, degenerate)

@@ -7,22 +7,20 @@ rounding happens only in the report layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import KOutOfRange
 from .metrics import MANHATTAN, MetricChoice, distance_to_target
 from .normalization import NormalizedMatrix
 
 
-@dataclass(frozen=True)
-class RankingEntry:
+class RankingEntry(NamedTuple):
     rank: int
     player: str
     distance: float
 
 
-@dataclass(frozen=True)
-class SimilarityRanking:
+class SimilarityRanking(NamedTuple):
     """Every non-target player, sorted by distance ascending; rank is 1-based."""
 
     target: str

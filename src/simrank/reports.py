@@ -12,10 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
-from xml.sax.saxutils import escape
+from typing import IO, Iterable, NamedTuple, Sequence, Union
 
 from .correlation import CorrelationCell, CorrelationMatrix, least_squares_line
 from .dataset import Dataset
@@ -24,8 +22,7 @@ from .normalization import NormalizedMatrix
 from .ranking import SimilarityRanking
 
 
-@dataclass(frozen=True)
-class ScatterSeries:
+class ScatterSeries(NamedTuple):
     """One labeled point per player for a pair of raw criteria."""
 
     x_criterion: str
@@ -113,6 +110,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text content; quotes need no escape there."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_scatter_svg(series: ScatterSeries) -> str:
     """A self-contained SVG scatter plot: axes, labeled markers, optional trend."""
     if not series.points:
@@ -141,9 +143,9 @@ def render_scatter_svg(series: ScatterSeries) -> str:
         f'<line x1="{_LEFT}" y1="{_TOP}" x2="{_LEFT}" y2="{_TOP + plot_h}" stroke="black"/>',
         # axis titles
         f'<text x="{_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 15}" text-anchor="middle" '
-        f'font-size="14">{escape(series.x_criterion)}</text>',
+        f'font-size="14">{_escape(series.x_criterion)}</text>',
         f'<text x="20" y="{_TOP + plot_h / 2:.1f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 20 {_TOP + plot_h / 2:.1f})">{escape(series.y_criterion)}</text>',
+        f'transform="rotate(-90 20 {_TOP + plot_h / 2:.1f})">{_escape(series.y_criterion)}</text>',
         # extent labels
         f'<text x="{_LEFT}" y="{_TOP + plot_h + 18}" text-anchor="middle" '
         f'font-size="11">{x_lo:.3g}</text>',
@@ -166,7 +168,7 @@ def render_scatter_svg(series: ScatterSeries) -> str:
         cx, cy = px(xv), py(yv)
         lines.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="crimson"/>')
         lines.append(
-            f'<text x="{_fmt(cx + 5)}" y="{_fmt(cy - 5)}" font-size="10">{escape(name)}</text>'
+            f'<text x="{_fmt(cx + 5)}" y="{_fmt(cy - 5)}" font-size="10">{_escape(name)}</text>'
         )
 
     lines.append("</svg>")

@@ -12,11 +12,10 @@ from __future__ import annotations
 import io
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterator, NamedTuple, Union
 
 from .errors import UnknownCriterion
 
@@ -30,32 +29,31 @@ class Direction(Enum):
     MINIMIZE = "min"
 
 
-@dataclass(frozen=True)
-class CriterionSpec:
+class CriterionSpec(NamedTuple("_CriterionSpec", [("name", str), ("direction", Direction),
+                                                  ("included", bool)])):
     """One statistical column: name, optimization direction, in-scope flag."""
 
-    name: str
-    direction: Direction
-    included: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name or not self.name.strip():
+    def __new__(cls, name: str, direction: Direction, included: bool = True):
+        if not name or not name.strip():
             raise ValueError("criterion name must be non-empty")
+        return super().__new__(cls, name, direction, included)
 
 
-@dataclass(frozen=True)
-class CriteriaSchema:
+class CriteriaSchema(NamedTuple("_CriteriaSchema", [("criteria", tuple[CriterionSpec, ...])])):
     """Ordered collection of criteria; names are unique and at least one is included."""
 
-    criteria: tuple[CriterionSpec, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        names = [c.name for c in self.criteria]
+    def __new__(cls, criteria: tuple[CriterionSpec, ...]):
+        names = [c.name for c in criteria]
         if len(names) != len(set(names)):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate criterion names: {dupes}")
-        if not any(c.included for c in self.criteria):
+        if not any(c.included for c in criteria):
             raise ValueError("schema includes no criteria")
+        return super().__new__(cls, criteria)
 
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.criteria)

@@ -301,3 +301,26 @@ def test_one_player_is_refused(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--data", data, "--schema", schema)
     assert (code, out) == (2, "")
     assert err == "simrank: error: min-max scaling needs at least 2 players, got 1\n"
+
+
+def _overflowing_csv(tmp_path, dataset):
+    rows = list(csv.reader(io.StringIO(dataset_to_csv(dataset))))
+    keyp = rows[0].index("KeyP")
+    rows[1][keyp], rows[2][keyp] = "1e308", "-1e308"  # max - min overflows to inf
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return _write(tmp_path / "overflow.csv", out.getvalue())
+
+
+@pytest.mark.parametrize("argv", [("rank", "--target", "Messi"),
+                                  ("nearest", "--target", "Messi", "-k", "3"),
+                                  ("corr",), ("dump-normalized",), ("validate",)],
+                         ids=lambda argv: argv[0])
+def test_non_finite_spread_is_refused(capsys, tmp_path, reference_dataset, argv):
+    code, out, err = run(capsys, *argv, "--data", _overflowing_csv(tmp_path, reference_dataset))
+    if argv[0] == "validate":  # violations are validate's report, printed on stdout
+        assert (code, out, err) == (2, "NonFiniteSpread: KeyP: max - min is not finite\n", "")
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("simrank: error: column 'KeyP': ")
+        assert err.count("\n") == 1

@@ -189,6 +189,17 @@ def test_svg_escapes_names():
     assert "x<y" not in svg and "p&q" not in svg
 
 
+def test_svg_escape_matches_saxutils():
+    from xml.sax.saxutils import escape
+
+    name = 'A & B <x> "q" \'a\''
+    svg = render_scatter_svg(ScatterSeries(name, "Y" + name, ((name, 1.0, 2.0),)))
+    assert f'font-size="14">{escape(name)}</text>' in svg
+    assert f'>{escape("Y" + name)}</text>' in svg
+    assert f'font-size="10">{escape(name)}</text>' in svg
+    assert escape(name) == 'A &amp; B &lt;x&gt; "q" \'a\''
+
+
 def test_svg_empty_series_rejected():
     with pytest.raises(EmptySeries):
         render_scatter_svg(ScatterSeries("X", "Y", ()))
