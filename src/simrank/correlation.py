@@ -15,12 +15,14 @@ Stars follow the usual ladder: *** for p <= 0.01, ** for p <= 0.05,
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from array import array
 from typing import NamedTuple, Sequence
 
 from .dataset import Dataset
-from .errors import (ConstantColumn, InsufficientSamples, KOutOfRange, LengthMismatch, SimrankError,
-                     UnknownCriterion)
+from .errors import (ConstantColumn, InsufficientSamples, KOutOfRange, LengthMismatch,
+                     NonFiniteSumOfSquares, UnknownCriterion)
 from .special import student_t_two_tailed
 
 
@@ -60,20 +62,38 @@ class CorrelationMatrix(NamedTuple):
         return self.cells[i][j]
 
 
-def _centre(xs: Sequence[float]) -> tuple[float, array, float]:
-    """Mean, deviations from it and their sum of squares; the deviations are packed
-    doubles, not float objects, since correlation_matrix holds every column at once."""
-    mean = math.fsum(xs) / len(xs)
-    deviations = array("d", [x - mean for x in xs])
-    return mean, deviations, math.fsum(d * d for d in deviations)
+def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float]:
+    """Mean, deviations from it and their sum of squares.
+
+    Raises NonFiniteSumOfSquares(name) if a sum leaves the range of a double.
+    The deviations come back packed as doubles, 8 bytes each against 32 for a
+    float in a list, because correlation_matrix holds every column at once. It
+    unpacks one row's column at a time: iterating an array boxes each element
+    into a new float, iterating a list does not, so one unpacked side makes each
+    pair sum faster without the memory of every column as a list.
+    """
+    try:
+        mean = math.fsum(xs) / len(xs)
+        deviations = [x - mean for x in xs]
+        ss = math.fsum(map(operator.mul, deviations, deviations))
+    except OverflowError:  # an intermediate fsum partial overflowed
+        raise NonFiniteSumOfSquares(name) from None
+    if not math.isfinite(ss):
+        raise NonFiniteSumOfSquares(name)
+    return mean, array("d", deviations), ss
 
 
-def _rho(x: tuple[float, array, float], y: tuple[float, array, float]) -> float:
+def _rho(x: tuple[float, Sequence[float], float], y: tuple[float, Sequence[float], float]) -> float:
     """Pearson rho of two columns already centred by ``_centre``."""
     (_, dx, ss_x), (_, dy, ss_y) = x, y
     if ss_x == 0.0 or ss_y == 0.0:
         raise ConstantColumn()
-    rho = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
+    product = ss_x * ss_y
+    if sys.float_info.min <= product <= sys.float_info.max:
+        scale = math.sqrt(product)
+    else:  # the product over- or underflowed; Pearson is scale-free, so take the roots apart
+        scale = math.sqrt(ss_x) * math.sqrt(ss_y)
+    rho = math.fsum(map(operator.mul, dx, dy)) / scale
     # rounding can push an exactly collinear pair a hair past +-1
     return max(-1.0, min(1.0, rho))
 
@@ -85,15 +105,16 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
     if n < 3:
         raise InsufficientSamples(f"need at least 3 paired values, got {n}")
-    return _rho(_centre(xs), _centre(ys))
+    return _rho(_centre(xs, "x"), _centre(ys, "y"))
 
 
-def least_squares_line(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
-    """Ordinary least squares fit y = slope * x + intercept."""
-    (mean_x, dx, ss_x), (mean_y, dy, _) = _centre(xs), _centre(ys)
+def least_squares_line(xs: Sequence[float], ys: Sequence[float],
+                       names: tuple[str, str] = ("x", "y")) -> tuple[float, float]:
+    """Ordinary least squares fit y = slope * x + intercept; errors name the columns ``names``."""
+    (mean_x, dx, ss_x), (mean_y, dy, _) = _centre(xs, names[0]), _centre(ys, names[1])
     if ss_x == 0.0:
-        raise ConstantColumn("x")
-    slope = math.fsum(a * b for a, b in zip(dx, dy)) / ss_x
+        raise ConstantColumn(names[0])
+    slope = math.fsum(map(operator.mul, dx, dy)) / ss_x
     return slope, mean_y - slope * mean_x
 
 
@@ -133,13 +154,12 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     if n < 3:
         raise InsufficientSamples(f"need at least 3 paired values, got {n}")
     criteria = dataset.schema.included_names()
-    centred = [_centre(dataset.column(c)) for c in criteria]
-    for c, (_, _, ss) in zip(criteria, centred):
-        if not math.isfinite(ss):
-            raise SimrankError(f"column {c!r}: sum of squared deviations is not finite")
+    centred = [_centre(dataset.column(c), c) for c in criteria]
 
     grid: list[list[CorrelationCell]] = []
     for i, a in enumerate(criteria):
+        mean, deviations, ss = centred[i]
+        x = (mean, deviations.tolist(), ss)  # the one unpacked column, see _centre
         row: list[CorrelationCell] = []
         for j, b in enumerate(criteria):
             if i == j:
@@ -149,13 +169,14 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
                 row.append(CorrelationCell(a, b, mirror.rho, mirror.p_value, mirror.stars))
             else:
                 try:
-                    rho = _rho(centred[i], centred[j])
+                    rho = _rho(x, centred[j])
                 except ConstantColumn:
                     row.append(CorrelationCell(a, b, math.nan, math.nan, ""))
                     continue
                 p = two_tailed_p_value(rho, n)
                 row.append(CorrelationCell(a, b, rho, p, significance_stars(p)))
         grid.append(row)
+        del x  # before the next row unpacks its own column
     return CorrelationMatrix(criteria, tuple(tuple(r) for r in grid))
 
 

@@ -20,6 +20,7 @@ from .errors import (
     DuplicatePlayer,
     EmptyDataset,
     MissingColumn,
+    NonFiniteSumOfSquares,
     ParseError,
     UnknownCriterion,
     UnknownPlayer,
@@ -191,8 +192,17 @@ def validate(dataset: Dataset) -> list[Violation]:
             elif not math.isfinite(p.values[criterion]):
                 violations.append(Violation("NonFiniteValue", f"{p.name}/{criterion}",
                                             f"value is {p.values[criterion]!r}"))
+    from .correlation import _centre  # correlation imports this module, so not at the top
+
     for c in included:
         finite = [v for p in dataset.players if math.isfinite(v := p.values.get(c, math.nan))]
-        if finite and not math.isfinite(max(finite) - min(finite)):
+        if not finite:
+            continue
+        if not math.isfinite(max(finite) - min(finite)):
             violations.append(Violation("NonFiniteSpread", c, "max - min is not finite"))
+            continue  # an infinite spread also makes the sum of squares infinite
+        try:
+            _centre(finite, c)
+        except NonFiniteSumOfSquares as exc:
+            violations.append(Violation("NonFiniteSumOfSquares", c, exc.detail))
     return violations

@@ -81,6 +81,16 @@ class ConstantColumn(SimrankError):
         self.name = name
 
 
+class NonFiniteSumOfSquares(SimrankError):
+    """A column's sum or sum of squared deviations overflows a double: no Pearson statistics."""
+
+    detail = "sum of squared deviations is not finite"
+
+    def __init__(self, name: str):
+        super().__init__(f"column {name!r}: {self.detail}")
+        self.name = name
+
+
 class InsufficientSamples(SimrankError):
     """Too few observations: min-max scaling needs 2 players, the significance test n >= 3."""
 

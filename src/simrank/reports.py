@@ -72,7 +72,7 @@ def emit_ranking(ranking: SimilarityRanking, fmt: str = "table") -> str:
 def scatter_data(dataset: Dataset, x: str, y: str, with_trend: bool = False) -> ScatterSeries:
     """Raw (x, y) values per player for two criteria present in the dataset."""
     xs, ys = dataset.column(x), dataset.column(y)
-    trend = least_squares_line(xs, ys) if with_trend else None
+    trend = least_squares_line(xs, ys, names=(x, y)) if with_trend else None
     return ScatterSeries(x, y, tuple(zip(dataset.player_names(), xs, ys)), trend)
 
 

@@ -303,10 +303,11 @@ def test_one_player_is_refused(capsys, tmp_path, argv):
     assert err == "simrank: error: min-max scaling needs at least 2 players, got 1\n"
 
 
-def _overflowing_csv(tmp_path, dataset):
+def _overflowing_csv(tmp_path, dataset, cells=("1e308", "-1e308")):  # max - min overflows to inf
     rows = list(csv.reader(io.StringIO(dataset_to_csv(dataset))))
     keyp = rows[0].index("KeyP")
-    rows[1][keyp], rows[2][keyp] = "1e308", "-1e308"  # max - min overflows to inf
+    for row, cell in zip(rows[1:], cells):
+        row[keyp] = cell
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return _write(tmp_path / "overflow.csv", out.getvalue())
@@ -324,3 +325,18 @@ def test_non_finite_spread_is_refused(capsys, tmp_path, reference_dataset, argv)
         assert (code, out) == (2, "")
         assert err.startswith("simrank: error: column 'KeyP': ")
         assert err.count("\n") == 1
+
+
+# the spread is finite, but fsum of the column overflows (1e308 twice) or a square does (1e200)
+@pytest.mark.parametrize("cells", [("1e308", "1e308"), ("1e200",)], ids=["sum", "square"])
+@pytest.mark.parametrize("argv", [("corr",), ("scatter", "-x", "KeyP", "-y", "AvPasses", "--trend"),
+                                  ("scatter", "-x", "AvPasses", "-y", "KeyP", "--trend"), ("validate",)],
+                         ids=["corr", "scatter-x", "scatter-y", "validate"])
+def test_non_finite_sum_of_squares_is_refused(capsys, tmp_path, reference_dataset, argv, cells):
+    data = _overflowing_csv(tmp_path, reference_dataset, cells)
+    code, out, err = run(capsys, *argv, "--data", data)
+    detail = "sum of squared deviations is not finite\n"
+    if argv[0] == "validate":
+        assert (code, out, err) == (2, f"NonFiniteSumOfSquares: KeyP: {detail}", "")
+    else:
+        assert (code, out, err) == (2, "", f"simrank: error: column 'KeyP': {detail}")

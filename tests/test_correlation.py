@@ -1,16 +1,19 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from golden import CORRELATION_TOLERANCE, P_VALUE_RHO_HALF_N29, TOP_CORRELATIONS
-from helpers import build_dataset
+from helpers import build_dataset, transform_column
 from simrank import (
     ConstantColumn,
     InsufficientSamples,
     KOutOfRange,
     LengthMismatch,
+    NonFiniteSumOfSquares,
     correlation_matrix,
+    least_squares_line,
     pearson,
     significance_stars,
     top_correlated_pairs,
@@ -41,6 +44,8 @@ def test_pearson_errors():
         pearson([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ConstantColumn):
         pearson([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+    with pytest.raises(NonFiniteSumOfSquares, match="column 'x'"):  # fsum(xs) overflows
+        pearson([1e308, 1e308, 0.0], [1.0, 2.0, 3.0])
 
 
 def test_pearson_affine_invariance():
@@ -205,3 +210,61 @@ def test_matrix_cells_equal_pearson_with_constant_column():
         ["a", "b", "c", "d", "e"],
         {"X": [1.5, 2.25, 3, 4.75, 0.1], "Y": [5, 5, 5, 5, 5], "Z": [2, 1, 4, 3, 9]},
     ))
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_rho_is_scale_free_at_extreme_scales(reference_dataset, reference_correlations, scale):
+    # at 1e100 the product of the two sums of squares overflows, at 1e-100 it underflows
+    scaled = transform_column(reference_dataset, "KeyP", scale, 0.0)
+    scaled = transform_column(scaled, "AvPasses", scale, 0.0)
+    m = correlation_matrix(scaled)
+    for row, expected_row in zip(m.cells, reference_correlations.cells):
+        for cell, expected in zip(row, expected_row):
+            assert cell.rho == pytest.approx(expected.rho, abs=1e-12), (cell.criterion_a, cell.criterion_b)
+
+
+def _random_table(n: int, seed: int):
+    """n players by 17 columns sharing one latent factor, at mixed scales and precisions."""
+    rng = random.Random(seed)
+    latent = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    columns = {}
+    for k in range(17):
+        weight, scale, digits = rng.uniform(-1.0, 1.0), 10.0 ** rng.randint(-2, 3), rng.randint(1, 3)
+        columns[f"c{k}"] = [round(scale * (2.0 + weight * f + rng.gauss(0.0, 1.0)), digits)
+                            for f in latent]
+    return build_dataset([f"p{i}" for i in range(n)], columns)
+
+
+def _plain_centre(xs):
+    mean = math.fsum(xs) / len(xs)
+    deviations = [x - mean for x in xs]
+    return mean, deviations, math.fsum(d * d for d in deviations)
+
+
+def test_matrix_and_fit_match_plain_fsum_formula_bit_for_bit():
+    dataset = _random_table(2000, seed=2018)
+    m = correlation_matrix(dataset)
+    centred = {c: _plain_centre(dataset.column(c)) for c in m.criteria}
+    for i, a in enumerate(m.criteria):
+        _, dx, ss_x = centred[a]
+        for b in m.criteria[i + 1:]:
+            _, dy, ss_y = centred[b]
+            rho = math.fsum(p * q for p, q in zip(dx, dy)) / math.sqrt(ss_x * ss_y)
+            assert m.cell(a, b).rho == max(-1.0, min(1.0, rho)), (a, b)
+    for a, b in zip(m.criteria, m.criteria[1:]):
+        (mean_x, dx, ss_x), (mean_y, dy, _) = centred[a], centred[b]
+        slope = math.fsum(p * q for p, q in zip(dx, dy)) / ss_x
+        assert least_squares_line(dataset.column(a), dataset.column(b)) == (slope, mean_y - slope * mean_x)
+
+
+def test_matrix_keeps_centred_columns_packed():
+    # every centred column as a list of floats would cost 17 * 32 bytes a row
+    n = 5000
+    dataset = _random_table(n, seed=7)
+    tracemalloc.start()
+    try:
+        correlation_matrix(dataset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 17 * 32 * n / 2
