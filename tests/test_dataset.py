@@ -1,13 +1,18 @@
 import csv
 import io
 import math
+import random
+import struct
 from importlib import resources
 
 import pytest
 
 from helpers import build_dataset, replace_value
 from simrank import (
+    CriteriaSchema,
+    CriterionSpec,
     Dataset,
+    Direction,
     DuplicatePlayer,
     EmptyDataset,
     MissingColumn,
@@ -196,3 +201,64 @@ def test_validate_flags_missing_value():
     violations = validate(stripped)
     assert [v.rule for v in violations] == ["MissingValue"]
     assert violations[0].subject == "b/Y"
+
+
+
+_XY = CriteriaSchema((CriterionSpec("X", Direction.MAXIMIZE), CriterionSpec("Y", Direction.MAXIMIZE)))
+
+
+@pytest.mark.parametrize("text, error, row, column, message", [
+    ("Player,X,Y\na,1,2\nb,abc,3\n", ParseError, 3, "X", "row 3, column 'X': not a number"),
+    ("Player,X,Y\na,1,2\nb,1,inf\n", ParseError, 3, "Y", "row 3, column 'Y': not a finite number"),
+    ("Player,X,Y\na,1,2\nb,1\n", ParseError, 3, "Y", "row 3, column 'Y': missing value"),
+    ("Player,X,Y\na,1,2\n,1,2\n", ParseError, 3, "Player", "row 3, column 'Player': empty player name"),
+    ("Player,X,Y\na,1,2\nb,3,4\na,5,6\nc,x,7\n", DuplicatePlayer, None, None,
+     "duplicate player: 'a'"),
+    ("Player,X,Y\na,1,2\nb,-inf,3\nc,1,2\nd,x,3\n", ParseError, 3, "X",
+     "row 3, column 'X': not a finite number"),
+    ("Player,X,Y\na,1,2\n\n , \nb,1,x\n", ParseError, 5, "Y", "row 5, column 'Y': not a number"),
+    ("Player,Y,X\na,1,2\nb,bad,worse\n", ParseError, 3, "X", "row 3, column 'X': not a number"),
+    ("Player,X,Y\na,1,2\nb, 1.5 ,\t2\t\n", None, None, None, None),
+], ids=["non-numeric", "inf", "short-row", "empty-name", "duplicate-before-later-bad-cell",
+        "non-finite-row-3-before-non-numeric-row-5", "blank-lines-count", "schema-order-within-a-row",
+        "surrounding-spaces-accepted"])
+def test_load_error_contract(text, error, row, column, message):
+    """The first bad cell in row-major order (schema order within a row) decides the error."""
+    if error is None:
+        dataset = load_dataset(io.StringIO(text), _XY)
+        assert [list(dataset.column("X")), list(dataset.column("Y"))] == [[1.0, 1.5], [2.0, 2.0]]
+        return
+    with pytest.raises(error) as exc:
+        load_dataset(io.StringIO(text), _XY)
+    assert type(exc.value) is error
+    assert (getattr(exc.value, "row", None), getattr(exc.value, "column", None)) == (row, column)
+    assert str(exc.value) == message
+
+
+def test_loaded_records_match_the_record_constructor(reference_dataset):
+    """What tests and the benchmark's tracer read: a players view of dicts, equal to built records."""
+    rows = list(csv.DictReader(io.StringIO(_reference_text())))
+    names = reference_schema().names()
+    records = tuple(PlayerRecord(r["Player"], {c: float(r[c]) for c in names}) for r in rows)
+    built = Dataset(reference_schema(), records)
+    assert reference_dataset.players == records
+    assert type(reference_dataset.players[0].values) is dict
+    assert reference_dataset.player("Neymar") == records[[r.name for r in records].index("Neymar")]
+    assert built == reference_dataset
+    assert built.players == records
+
+
+def test_round_trip_is_bit_exact_at_scale():
+    rng = random.Random(20181)
+    # extremes, a subnormal, signed zero and two doubles that need 17 significant digits
+    special = [1e-300, 1e300, -0.0, 5e-324, 0.1 + 0.2, 1.0000000000000002, -1.7976931348623157e308]
+    columns = {c: [rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-20, 20) for _ in range(1000)]
+               for c in "ABCDE"}
+    for values in columns.values():
+        for at, v in zip(rng.sample(range(1000), len(special)), special):
+            values[at] = v
+    dataset = build_dataset([f"p{i}" for i in range(1000)], columns)
+    reloaded = load_dataset(io.StringIO(dataset_to_csv(dataset)), dataset.schema)
+    for c, values in columns.items():
+        assert [struct.pack("d", v) for v in reloaded.column(c)] == \
+            [struct.pack("d", v) for v in values], c

@@ -124,3 +124,15 @@ def test_distance_to_target_ronaldo(reference_matrix):
 def test_distance_to_target_unknown(reference_matrix):
     with pytest.raises(UnknownPlayer):
         distance_to_target(reference_matrix, "Nobody", MANHATTAN)
+
+
+def test_manhattan_pipeline_matches_generic_formula():
+    """p = 1 sums |x - y| directly; the result has the bits of the generic (sum |x - y|^p)^(1/p)."""
+    rng = random.Random(1)
+    for _ in range(500):
+        n = rng.randint(1, 30)
+        xs = [rng.random() for _ in range(n)]
+        ys = [rng.choice((0.0, 1.0, rng.random())) for _ in range(n)]
+        generic = math.fsum(abs(x - y) ** 1.0 for x, y in zip(xs, ys)) ** (1.0 / 1.0)
+        assert minkowski_distance(xs, ys, MANHATTAN) == generic
+        assert manhattan_distance(PlayerVector("a", tuple(xs)), PlayerVector("b", tuple(ys))) == generic
