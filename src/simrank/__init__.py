@@ -38,6 +38,7 @@ from .errors import (
     KOutOfRange,
     LengthMismatch,
     MissingColumn,
+    NonFiniteSpread,
     NonFiniteSumOfSquares,
     ParseError,
     SimrankError,

@@ -51,15 +51,10 @@ class CorrelationMatrix(NamedTuple):
     cells: tuple[tuple[CorrelationCell, ...], ...]
 
     def cell(self, a: str, b: str) -> CorrelationCell:
-        try:
-            i = self.criteria.index(a)
-        except ValueError:
-            raise UnknownCriterion(a) from None
-        try:
-            j = self.criteria.index(b)
-        except ValueError:
-            raise UnknownCriterion(b) from None
-        return self.cells[i][j]
+        for name in (a, b):
+            if name not in self.criteria:
+                raise UnknownCriterion(name)
+        return self.cells[self.criteria.index(a)][self.criteria.index(b)]
 
 
 def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float]:
@@ -150,7 +145,7 @@ def significance_stars(p_value: float) -> str:
 
 def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     """Full symmetric correlation matrix over the raw included criteria."""
-    n = len(dataset.players)
+    n = len(dataset.names)
     if n < 3:
         raise InsufficientSamples(f"need at least 3 paired values, got {n}")
     criteria = dataset.schema.included_names()
@@ -165,8 +160,7 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
             if i == j:
                 row.append(CorrelationCell(a, b, 1.0, 0.0, "***"))
             elif j < i:
-                mirror = grid[j][i]
-                row.append(CorrelationCell(a, b, mirror.rho, mirror.p_value, mirror.stars))
+                row.append(grid[j][i]._replace(criterion_a=a, criterion_b=b))
             else:
                 try:
                     rho = _rho(x, centred[j])

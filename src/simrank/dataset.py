@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -20,7 +21,7 @@ from .errors import (
     DuplicatePlayer,
     EmptyDataset,
     MissingColumn,
-    NonFiniteSumOfSquares,
+    NonFiniteColumn,
     ParseError,
     UnknownCriterion,
     UnknownPlayer,
@@ -48,43 +49,51 @@ class Violation(NamedTuple):
         return f"{self.rule}: {self.subject}: {self.message}"
 
 
-class Dataset(NamedTuple):
-    """Immutable matrix of raw values under a governing schema."""
+class Dataset(NamedTuple("_Dataset", [("schema", CriteriaSchema), ("names", tuple[str, ...]),
+                                      ("table", dict[str, tuple[float, ...]])])):
+    """Immutable matrix of raw values under a governing schema, stored by column.
 
-    schema: CriteriaSchema
-    players: tuple[PlayerRecord, ...]
+    ``names`` holds the players in file order and ``table`` one tuple of raw
+    values per schema criterion the data carries, in schema order.
+    ``Dataset(schema, players)`` builds one from PlayerRecords, holding None for
+    a cell a record lacks; ``players`` and ``player()`` build records back.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, schema: CriteriaSchema, players: Iterable[PlayerRecord] = ()):
+        players = tuple(players)
+        carried = set().union(*(p.values for p in players))
+        table = {c: tuple(p.values.get(c) for p in players) for c in schema.names() if c in carried}
+        return cls._make((schema, tuple(p.name for p in players), table))
+
+    @property
+    def players(self) -> tuple[PlayerRecord, ...]:
+        """Every player as a PlayerRecord, built on each access."""
+        return tuple(map(self._record, range(len(self.names))))
+
+    def _record(self, i: int) -> PlayerRecord:
+        return PlayerRecord(self.names[i], {c: column[i] for c, column in self.table.items()
+                                            if column[i] is not None})
 
     def player_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.players)
+        return self.names
 
     def player(self, name: str) -> PlayerRecord:
-        for p in self.players:
-            if p.name == name:
-                return p
-        raise UnknownPlayer(name)
+        if name not in self.names:
+            raise UnknownPlayer(name)
+        return self._record(self.names.index(name))
 
     def columns(self) -> tuple[str, ...]:
         """Schema criteria actually carried by the records, in schema order."""
-        if not self.players:
-            return ()
-        present = self.players[0].values.keys()
-        return tuple(n for n in self.schema.names() if n in present)
+        return tuple(self.table)
 
-    def column(self, name: str) -> list[float]:
+    def column(self, name: str) -> tuple[float, ...]:
         """Raw values of one criterion, in player order."""
-        if name not in self.columns():
-            raise UnknownCriterion(name, "criterion not in dataset")
-        return [p.values[name] for p in self.players]
-
-
-def _parse_cell(text: str, row: int, column: str) -> float:
-    try:
-        value = float(text.strip())
-    except (TypeError, ValueError, AttributeError):
-        raise ParseError(row, column) from None
-    if not math.isfinite(value):
-        raise ParseError(row, column, "not a finite number")
-    return value
+        try:
+            return self.table[name]
+        except KeyError:
+            raise UnknownCriterion(name, "criterion not in dataset") from None
 
 
 def load_dataset(source: Source, schema: CriteriaSchema) -> Dataset:
@@ -93,7 +102,7 @@ def load_dataset(source: Source, schema: CriteriaSchema) -> Dataset:
     Players keep file order. Raises MissingColumn if an included criterion
     has no matching header, ParseError for non-numeric cells,
     DuplicatePlayer for repeated names, EmptyDataset if there are no data
-    rows.
+    rows. The first error in row order wins, and within a row schema order.
     """
     with _text_stream(source) as stream:
         return _read_rows(stream, schema)
@@ -120,39 +129,50 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
         if name not in col_index:
             raise MissingColumn(name)
 
-    players: list[PlayerRecord] = []
-    seen: set[str] = set()
+    index = [col_index[c] for c in matched]
+    pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
+    rows: dict[str, tuple[float, ...]] = {}  # player -> values in matched order
     for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not any(map(str.strip, row)):
             continue
         name = row[0].strip()
         if not name:
             raise ParseError(line, "Player", "empty player name")
-        if name in seen:
+        if name in rows:
             raise DuplicatePlayer(name)
-        seen.add(name)
-        values = {}
-        for criterion in matched:
-            idx = col_index[criterion]
-            if idx >= len(row):
-                raise ParseError(line, criterion, "missing value")
-            values[criterion] = _parse_cell(row[idx], line, criterion)
-        players.append(PlayerRecord(name, values))
+        try:  # float() ignores surrounding whitespace
+            values = tuple(map(float, pick(row)))
+        except (ValueError, IndexError):  # a bad cell or a short row
+            raise _first_bad_cell(row, line, matched, index) from None
+        if not all(map(math.isfinite, values)):
+            raise _first_bad_cell(row, line, matched, index)
+        rows[name] = values
 
-    if not players:
+    if not rows:
         raise EmptyDataset("CSV has no data rows")
-    return Dataset(schema, tuple(players))
+    return Dataset._make((schema, tuple(rows), dict(zip(matched, zip(*rows.values())))))
+
+
+def _first_bad_cell(row: list[str], line: int, matched: list[str], index: list[int]) -> ParseError:
+    """The error for the first bad cell, in schema order, of a row the fast path refused;
+    that row has one, since both paths apply the same float() and isfinite checks."""
+    for criterion, i in zip(matched, index):
+        if i >= len(row):
+            return ParseError(line, criterion, "missing value")
+        try:
+            if not math.isfinite(float(row[i])):
+                return ParseError(line, criterion, "not a finite number")
+        except ValueError:
+            return ParseError(line, criterion)
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
-    """Serialize back to CSV; values use the shortest exact float form,
-    so reloading reproduces bit-identical doubles."""
+    """Serialize back to CSV; the csv module writes each float as its repr, the
+    shortest exact form, so reloading reproduces bit-identical doubles."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    columns = dataset.columns()
-    writer.writerow(["Player", *columns])
-    for p in dataset.players:
-        writer.writerow([p.name, *(repr(p.values[c]) for c in columns)])
+    writer.writerow(["Player", *dataset.table])
+    writer.writerows(zip(dataset.names, *dataset.table.values()))
     return out.getvalue()
 
 
@@ -164,45 +184,36 @@ def load_reference_dataset(schema: CriteriaSchema | None = None) -> Dataset:
 
 
 def _duplicates(names: Iterable[str]) -> list[str]:
+    """Each repeated name once, in the order of its first repeat."""
     seen: set[str] = set()
-    dupes: list[str] = []
-    for n in names:
-        if n in seen and n not in dupes:
-            dupes.append(n)
-        seen.add(n)
-    return dupes
+    return list(dict.fromkeys(n for n in names if n in seen or seen.add(n)))
 
 
 def validate(dataset: Dataset) -> list[Violation]:
     """Check every dataset invariant; an empty list means the dataset is sound."""
-    violations: list[Violation] = []
-    for name in _duplicates(p.name for p in dataset.players):
-        violations.append(Violation("DuplicatePlayer", name, "player name appears more than once"))
-    if len(dataset.players) < 2:
-        violations.append(
-            Violation("TooFewPlayers", f"{len(dataset.players)} player(s)",
-                      "min-max scaling needs at least 2 players")
-        )
-    included = dataset.schema.included_names()
-    for p in dataset.players:
-        for criterion in included:
-            if criterion not in p.values:
-                violations.append(Violation("MissingValue", f"{p.name}/{criterion}",
-                                            "included criterion has no value"))
-            elif not math.isfinite(p.values[criterion]):
-                violations.append(Violation("NonFiniteValue", f"{p.name}/{criterion}",
-                                            f"value is {p.values[criterion]!r}"))
-    from .correlation import _centre  # correlation imports this module, so not at the top
+    names = dataset.names
+    violations = [Violation("DuplicatePlayer", name, "player name appears more than once")
+                  for name in _duplicates(names)]
+    if len(names) < 2:
+        violations.append(Violation("TooFewPlayers", f"{len(names)} player(s)",
+                                    "min-max scaling needs at least 2 players"))
+    # correlation and normalization import this module, so not at the top
+    from .correlation import _centre
+    from .normalization import _extrema
 
-    for c in included:
-        finite = [v for p in dataset.players if math.isfinite(v := p.values.get(c, math.nan))]
-        if not finite:
-            continue
-        if not math.isfinite(max(finite) - min(finite)):
-            violations.append(Violation("NonFiniteSpread", c, "max - min is not finite"))
-            continue  # an infinite spread also makes the sum of squares infinite
-        try:
-            _centre(finite, c)
-        except NonFiniteSumOfSquares as exc:
-            violations.append(Violation("NonFiniteSumOfSquares", c, exc.detail))
+    for c in dataset.schema.included_names():
+        finite = []
+        for name, v in zip(names, dataset.table.get(c, (None,) * len(names))):
+            if v is None:
+                violations.append(Violation("MissingValue", f"{name}/{c}", "included criterion has no value"))
+            elif not math.isfinite(v):
+                violations.append(Violation("NonFiniteValue", f"{name}/{c}", f"value is {v!r}"))
+            else:
+                finite.append(v)
+        if finite:
+            try:  # an infinite spread also makes the sum of squares infinite: report it once
+                _extrema(finite, c)
+                _centre(finite, c)
+            except NonFiniteColumn as exc:
+                violations.append(Violation(type(exc).__name__, c, exc.detail))
     return violations

@@ -81,14 +81,26 @@ class ConstantColumn(SimrankError):
         self.name = name
 
 
-class NonFiniteSumOfSquares(SimrankError):
-    """A column's sum or sum of squared deviations overflows a double: no Pearson statistics."""
+class NonFiniteColumn(SimrankError):
+    """A statistic of a whole column overflows a double; ``detail`` says which."""
 
-    detail = "sum of squared deviations is not finite"
+    detail = "not finite"
 
     def __init__(self, name: str):
         super().__init__(f"column {name!r}: {self.detail}")
         self.name = name
+
+
+class NonFiniteSpread(NonFiniteColumn):
+    """A column's max - min overflows a double: no min-max scaling."""
+
+    detail = "max - min is not finite"
+
+
+class NonFiniteSumOfSquares(NonFiniteColumn):
+    """A column's sum or sum of squared deviations overflows a double: no Pearson statistics."""
+
+    detail = "sum of squared deviations is not finite"
 
 
 class InsufficientSamples(SimrankError):

@@ -8,6 +8,7 @@ so the result does not depend on summation order.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple, Sequence, Union
 
 from .errors import DimensionMismatch, UnknownPlayer
@@ -49,6 +50,8 @@ def minkowski_distance(a: Vector, b: Vector, metric: MetricChoice = MANHATTAN) -
     if len(xs) != len(ys):
         raise DimensionMismatch(f"vector lengths differ: {len(xs)} vs {len(ys)}")
     p = metric.p
+    if p == 1.0:  # the same bits as below, since x ** 1.0 == x, from a C-level pipeline
+        return math.fsum(map(abs, map(operator.sub, xs, ys)))
     total = math.fsum(abs(x - y) ** p for x, y in zip(xs, ys))
     return total ** (1.0 / p)
 

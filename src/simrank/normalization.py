@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .dataset import Dataset
-from .errors import (DegenerateColumnWarning, InsufficientSamples, SimrankError, UnknownCriterion,
+from .errors import (DegenerateColumnWarning, InsufficientSamples, NonFiniteSpread, UnknownCriterion,
                      UnknownPlayer)
 from .schema import Direction
 
@@ -61,11 +61,18 @@ class NormalizedMatrix(NamedTuple):
 
 
 def column_extrema(dataset: Dataset, criterion: str) -> ColumnExtrema:
-    """Min and max of an included criterion's raw column over all players."""
+    """Min and max of an included criterion's raw column; NonFiniteSpread if max - min overflows."""
     if criterion not in dataset.schema.included_names():
         raise UnknownCriterion(criterion, "criterion not included in schema")
-    column = dataset.column(criterion)
-    return ColumnExtrema(criterion, min(column), max(column))
+    return _extrema(dataset.column(criterion), criterion)
+
+
+def _extrema(column: Sequence[float], name: str) -> ColumnExtrema:
+    """Min and max of one raw column; NonFiniteSpread(name) if max - min is not finite."""
+    extrema = ColumnExtrema(name, min(column), max(column))
+    if not math.isfinite(extrema.f_max - extrema.f_min):
+        raise NonFiniteSpread(name)
+    return extrema
 
 
 def normalize(dataset: Dataset) -> NormalizedMatrix:
@@ -74,24 +81,21 @@ def normalize(dataset: Dataset) -> NormalizedMatrix:
     Player and criterion order are preserved. Constant columns trigger a
     DegenerateColumnWarning and scale to 0 for every player. Fewer than 2
     players raise InsufficientSamples, and a column whose max - min is not
-    finite raises SimrankError.
+    finite raises NonFiniteSpread.
     """
-    if len(dataset.players) < 2:
-        raise InsufficientSamples("min-max scaling needs at least 2 players, "
-                                  f"got {len(dataset.players)}")
+    n = len(dataset.names)
+    if n < 2:
+        raise InsufficientSamples(f"min-max scaling needs at least 2 players, got {n}")
     criteria = dataset.schema.included_names()
     columns = [dataset.column(c) for c in criteria]
-    extrema = tuple(ColumnExtrema(c, min(col), max(col)) for c, col in zip(criteria, columns))
+    extrema = tuple(map(_extrema, columns, criteria))
     degenerate = tuple(e.criterion for e in extrema if e.f_min == e.f_max)
     scaled = []
-    for e, column in zip(extrema, columns):
-        lo, hi = e.f_min, e.f_max
+    for (name, lo, hi), column in zip(extrema, columns):
         spread = hi - lo
-        if not math.isfinite(spread):
-            raise SimrankError(f"column {e.criterion!r}: max - min is not finite")
         if spread == 0.0:
-            scaled.append([0.0] * len(column))
-        elif dataset.schema.get(e.criterion).direction is Direction.MAXIMIZE:
+            scaled.append([0.0] * n)
+        elif dataset.schema.get(name).direction is Direction.MAXIMIZE:
             scaled.append([(x - lo) / spread for x in column])
         else:
             scaled.append([(hi - x) / spread for x in column])
@@ -99,4 +103,4 @@ def normalize(dataset: Dataset) -> NormalizedMatrix:
     for name in degenerate:
         warnings.warn(f"column {name!r} is constant; scaled to 0 for all players",
                       DegenerateColumnWarning, stacklevel=2)
-    return NormalizedMatrix(dataset.player_names(), criteria, tuple(zip(*scaled)), extrema, degenerate)
+    return NormalizedMatrix(dataset.names, criteria, tuple(zip(*scaled)), extrema, degenerate)

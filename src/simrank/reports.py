@@ -73,7 +73,7 @@ def scatter_data(dataset: Dataset, x: str, y: str, with_trend: bool = False) -> 
     """Raw (x, y) values per player for two criteria present in the dataset."""
     xs, ys = dataset.column(x), dataset.column(y)
     trend = least_squares_line(xs, ys, names=(x, y)) if with_trend else None
-    return ScatterSeries(x, y, tuple(zip(dataset.player_names(), xs, ys)), trend)
+    return ScatterSeries(x, y, tuple(zip(dataset.names, xs, ys)), trend)
 
 
 def emit_scatter(series: ScatterSeries, fmt: str = "csv") -> str:
