@@ -51,10 +51,15 @@ class CorrelationMatrix(NamedTuple):
     cells: tuple[tuple[CorrelationCell, ...], ...]
 
     def cell(self, a: str, b: str) -> CorrelationCell:
-        for name in (a, b):
-            if name not in self.criteria:
-                raise UnknownCriterion(name)
-        return self.cells[self.criteria.index(a)][self.criteria.index(b)]
+        try:
+            i = self.criteria.index(a)
+        except ValueError:
+            raise UnknownCriterion(a) from None
+        try:
+            j = self.criteria.index(b)
+        except ValueError:
+            raise UnknownCriterion(b) from None
+        return self.cells[i][j]
 
 
 def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float]:
@@ -160,7 +165,8 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
             if i == j:
                 row.append(CorrelationCell(a, b, 1.0, 0.0, "***"))
             elif j < i:
-                row.append(grid[j][i]._replace(criterion_a=a, criterion_b=b))
+                mirror = grid[j][i]
+                row.append(CorrelationCell(a, b, mirror.rho, mirror.p_value, mirror.stars))
             else:
                 try:
                     rho = _rho(x, centred[j])

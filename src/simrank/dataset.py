@@ -130,6 +130,7 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
             raise MissingColumn(name)
 
     index = [col_index[c] for c in matched]
+    # itemgetter of one index returns the bare cell, not a 1-tuple
     pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
     rows: dict[str, tuple[float, ...]] = {}  # player -> values in matched order
     for line, row in enumerate(reader, start=2):
@@ -184,9 +185,13 @@ def load_reference_dataset(schema: CriteriaSchema | None = None) -> Dataset:
 
 
 def _duplicates(names: Iterable[str]) -> list[str]:
-    """Each repeated name once, in the order of its first repeat."""
     seen: set[str] = set()
-    return list(dict.fromkeys(n for n in names if n in seen or seen.add(n)))
+    dupes: list[str] = []
+    for n in names:
+        if n in seen and n not in dupes:
+            dupes.append(n)
+        seen.add(n)
+    return dupes
 
 
 def validate(dataset: Dataset) -> list[Violation]:
