@@ -61,7 +61,7 @@ class Dataset(NamedTuple("_Dataset", [("schema", CriteriaSchema), ("names", tupl
 
     __slots__ = ()
 
-    def __new__(cls, schema: CriteriaSchema, players: Iterable[PlayerRecord] = ()):
+    def __new__(cls, schema: CriteriaSchema, players: Iterable[PlayerRecord]):
         players = tuple(players)
         carried = set().union(*(p.values for p in players))
         table = {c: tuple(p.values.get(c) for p in players) for c in schema.names() if c in carried}
