@@ -151,6 +151,7 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
 
     if not rows:
         raise EmptyDataset("CSV has no data rows")
+    # _make skips __new__, which builds a Dataset from records
     return Dataset._make((schema, tuple(rows), dict(zip(matched, zip(*rows.values())))))
 
 
