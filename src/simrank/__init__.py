@@ -49,13 +49,11 @@ from .metrics import (
     EUCLIDEAN,
     MANHATTAN,
     MetricChoice,
-    PlayerVector,
     distance_to_target,
     manhattan_distance,
     minkowski_distance,
-    player_vector,
 )
-from .normalization import ColumnExtrema, NormalizedMatrix, column_extrema, normalize
+from .normalization import NormalizedMatrix, normalize
 from .ranking import RankingEntry, SimilarityRanking, nearest_k, rank_by_similarity
 from .reports import (
     ScatterSeries,

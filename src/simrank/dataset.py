@@ -76,13 +76,11 @@ class Dataset(NamedTuple("_Dataset", [("schema", CriteriaSchema), ("names", tupl
         return PlayerRecord(self.names[i], {c: column[i] for c, column in self.table.items()
                                             if column[i] is not None})
 
-    def player_names(self) -> tuple[str, ...]:
-        return self.names
-
     def player(self, name: str) -> PlayerRecord:
-        if name not in self.names:
-            raise UnknownPlayer(name)
-        return self._record(self.names.index(name))
+        try:
+            return self._record(self.names.index(name))
+        except ValueError:
+            raise UnknownPlayer(name) from None
 
     def columns(self) -> tuple[str, ...]:
         """Schema criteria actually carried by the records, in schema order."""

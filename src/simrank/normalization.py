@@ -23,21 +23,12 @@ from .errors import (DegenerateColumnWarning, InsufficientSamples, NonFiniteSpre
 from .schema import Direction
 
 
-class ColumnExtrema(NamedTuple):
-    """Exact minimum and maximum of one raw column."""
-
-    criterion: str
-    f_min: float
-    f_max: float
-
-
 class NormalizedMatrix(NamedTuple):
     """Players x included-criteria grid of values scaled to [0, 1]."""
 
     players: tuple[str, ...]
     criteria: tuple[str, ...]
     values: tuple[tuple[float, ...], ...]
-    extrema: tuple[ColumnExtrema, ...]
     degenerate: tuple[str, ...] = ()
 
     def row(self, player: str) -> tuple[float, ...]:
@@ -53,26 +44,13 @@ class NormalizedMatrix(NamedTuple):
         except ValueError:
             raise UnknownCriterion(criterion) from None
 
-    def extrema_for(self, criterion: str) -> ColumnExtrema:
-        for e in self.extrema:
-            if e.criterion == criterion:
-                return e
-        raise UnknownCriterion(criterion)
 
-
-def column_extrema(dataset: Dataset, criterion: str) -> ColumnExtrema:
-    """Min and max of an included criterion's raw column; NonFiniteSpread if max - min overflows."""
-    if criterion not in dataset.schema.included_names():
-        raise UnknownCriterion(criterion, "criterion not included in schema")
-    return _extrema(dataset.column(criterion), criterion)
-
-
-def _extrema(column: Sequence[float], name: str) -> ColumnExtrema:
-    """Min and max of one raw column; NonFiniteSpread(name) if max - min is not finite."""
-    extrema = ColumnExtrema(name, min(column), max(column))
-    if not math.isfinite(extrema.f_max - extrema.f_min):
+def _extrema(column: Sequence[float], name: str) -> tuple[float, float]:
+    """(min, max) of one raw column; NonFiniteSpread(name) if max - min is not finite."""
+    lo, hi = min(column), max(column)
+    if not math.isfinite(hi - lo):
         raise NonFiniteSpread(name)
-    return extrema
+    return lo, hi
 
 
 def normalize(dataset: Dataset) -> NormalizedMatrix:
@@ -88,12 +66,13 @@ def normalize(dataset: Dataset) -> NormalizedMatrix:
         raise InsufficientSamples(f"min-max scaling needs at least 2 players, got {n}")
     criteria = dataset.schema.included_names()
     columns = [dataset.column(c) for c in criteria]
-    extrema = tuple(map(_extrema, columns, criteria))
-    degenerate = tuple(e.criterion for e in extrema if e.f_min == e.f_max)
     scaled = []
-    for (name, lo, hi), column in zip(extrema, columns):
+    degenerate = []
+    for name, column in zip(criteria, columns):
+        lo, hi = _extrema(column, name)
         spread = hi - lo
         if spread == 0.0:
+            degenerate.append(name)
             scaled.append([0.0] * n)
         elif dataset.schema.get(name).direction is Direction.MAXIMIZE:
             scaled.append([(x - lo) / spread for x in column])
@@ -103,4 +82,4 @@ def normalize(dataset: Dataset) -> NormalizedMatrix:
     for name in degenerate:
         warnings.warn(f"column {name!r} is constant; scaled to 0 for all players",
                       DegenerateColumnWarning, stacklevel=2)
-    return NormalizedMatrix(dataset.names, criteria, tuple(zip(*scaled)), extrema, degenerate)
+    return NormalizedMatrix(dataset.names, criteria, tuple(zip(*scaled)), tuple(degenerate))

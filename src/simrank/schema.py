@@ -67,9 +67,6 @@ class CriteriaSchema(NamedTuple("_CriteriaSchema", [("criteria", tuple[Criterion
                 return c
         raise UnknownCriterion(name)
 
-    def __contains__(self, name: str) -> bool:
-        return any(c.name == name for c in self.criteria)
-
 
 @cache
 def reference_schema() -> CriteriaSchema:

@@ -9,12 +9,10 @@ from simrank import (
     MANHATTAN,
     DimensionMismatch,
     MetricChoice,
-    PlayerVector,
     UnknownPlayer,
     distance_to_target,
     manhattan_distance,
     minkowski_distance,
-    player_vector,
 )
 
 
@@ -49,12 +47,6 @@ def test_dimension_mismatch():
         manhattan_distance((1.0, 2.0), (1.0,))
     with pytest.raises(DimensionMismatch):
         minkowski_distance((1.0, 2.0), (1.0,), EUCLIDEAN)
-
-
-def test_player_vector_inputs():
-    a = PlayerVector("a", (0.0, 0.0))
-    b = PlayerVector("b", (1.0, 1.0))
-    assert manhattan_distance(a, b) == 2.0
 
 
 def test_manhattan_equals_minkowski_p1():
@@ -95,9 +87,9 @@ def test_permutation_invariance():
 
 
 def test_bundled_pairwise_distances(reference_matrix):
-    messi = player_vector(reference_matrix, "Messi")
-    coutinho = player_vector(reference_matrix, "Coutinho")
-    lukaku = player_vector(reference_matrix, "Lukaku")
+    messi = reference_matrix.row("Messi")
+    coutinho = reference_matrix.row("Coutinho")
+    lukaku = reference_matrix.row("Lukaku")
     assert manhattan_distance(messi, coutinho) == pytest.approx(3.769, abs=DISTANCE_TOLERANCE)
     assert manhattan_distance(messi, lukaku) == pytest.approx(7.489, abs=DISTANCE_TOLERANCE)
 
@@ -135,4 +127,4 @@ def test_manhattan_pipeline_matches_generic_formula():
         ys = [rng.choice((0.0, 1.0, rng.random())) for _ in range(n)]
         generic = math.fsum(abs(x - y) ** 1.0 for x, y in zip(xs, ys)) ** (1.0 / 1.0)
         assert minkowski_distance(xs, ys, MANHATTAN) == generic
-        assert manhattan_distance(PlayerVector("a", tuple(xs)), PlayerVector("b", tuple(ys))) == generic
+        assert manhattan_distance(tuple(xs), tuple(ys)) == generic

@@ -7,37 +7,8 @@ from simrank import (
     DegenerateColumnWarning,
     UnknownCriterion,
     UnknownPlayer,
-    column_extrema,
     normalize,
 )
-
-
-def test_goals_pg_extrema(reference_dataset):
-    extrema = column_extrema(reference_dataset, "Goals pg")
-    assert extrema.f_min == 0.24  # D. Silva
-    assert extrema.f_max == 1.06  # Neymar
-
-
-def test_spg_maximum(reference_dataset):
-    assert column_extrema(reference_dataset, "SpG").f_max == 6.8  # C. Ronaldo
-
-
-def test_constant_column_extrema():
-    dataset = build_dataset(["a", "b", "c"], {"X": [4.2, 4.2, 4.2], "Y": [1, 2, 3]})
-    with pytest.warns(DegenerateColumnWarning):
-        matrix = normalize(dataset)
-    extrema = matrix.extrema_for("X")
-    assert extrema.f_min == extrema.f_max == 4.2
-
-
-def test_extrema_rejects_excluded_criterion(reference_dataset):
-    with pytest.raises(UnknownCriterion):
-        column_extrema(reference_dataset, "Games")
-
-
-def test_extrema_rejects_unknown_criterion(reference_dataset):
-    with pytest.raises(UnknownCriterion):
-        column_extrema(reference_dataset, "Rating")
 
 
 def test_messi_goals_pg_scaled_value(reference_matrix):
@@ -47,11 +18,13 @@ def test_messi_goals_pg_scaled_value(reference_matrix):
 
 
 def test_best_value_maps_to_one_worst_to_zero(reference_dataset, reference_matrix):
-    # maximization criterion: largest raw value scales to 1
+    # maximization criterion: largest raw value scales to 1, smallest to 0
     assert reference_matrix.value("C. Ronaldo", "SpG") == 1.0
+    assert reference_matrix.value("Neymar", "Goals pg") == 1.0
+    assert reference_matrix.value("D. Silva", "Goals pg") == 0.0
     # minimization criterion: largest raw value scales to 0, smallest to 1
     fouls = reference_dataset.column("Fouls")
-    players = reference_dataset.player_names()
+    players = reference_dataset.names
     worst = players[fouls.index(max(fouls))]
     best = players[fouls.index(min(fouls))]
     assert reference_matrix.value(worst, "Fouls") == 0.0
@@ -72,7 +45,7 @@ def test_every_column_attains_both_ends(reference_matrix):
 
 
 def test_monotonicity(reference_dataset, reference_matrix):
-    players = reference_dataset.player_names()
+    players = reference_dataset.names
 
     def ordering(criterion):
         raw = reference_dataset.column(criterion)
@@ -116,7 +89,7 @@ def test_degenerate_column_scales_to_zero():
 
 
 def test_order_preserved(reference_dataset, reference_matrix):
-    assert reference_matrix.players == reference_dataset.player_names()
+    assert reference_matrix.players == reference_dataset.names
     assert reference_matrix.criteria == reference_dataset.schema.included_names()
 
 

@@ -87,7 +87,7 @@ def test_duplicate_of_target_ranks_first(reference_dataset):
 
 def test_removing_any_other_player_keeps_winner(reference_dataset):
     # dropping a player can move column extrema, but never the winner
-    for drop in reference_dataset.player_names():
+    for drop in reference_dataset.names:
         if drop in ("Messi", "Coutinho"):
             continue
         kept = tuple(p for p in reference_dataset.players if p.name != drop)

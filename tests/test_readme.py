@@ -1,0 +1,19 @@
+"""The README's "Library" example runs and prints what its comments say."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_runs_as_documented():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, str(README), "exec"), {})
+    first, second = out.getvalue().splitlines()
+    assert first.startswith("RankingEntry(rank=1, player='Coutinho', distance=3.769")
+    assert second == "***"
