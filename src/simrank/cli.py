@@ -12,28 +12,16 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .correlation import correlation_matrix, top_correlated_pairs
-from .dataset import Dataset, load_dataset, load_reference_dataset, validate
 from .errors import DegenerateColumnWarning, SimrankError
-from .metrics import EUCLIDEAN, MANHATTAN
-from .normalization import normalize
-from .ranking import SimilarityRanking, nearest_k, rank_by_similarity
-from .reports import (
-    correlation_to_csv,
-    emit_ranking,
-    emit_scatter,
-    emit_scatter_svg,
-    normalized_to_csv,
-    scatter_data,
-    top_pairs_csv,
-    top_pairs_json,
-    top_pairs_table,
-)
-from .schema import reference_schema, schema_from_json
 
-_METRICS = {"p1": MANHATTAN, "p2": EUCLIDEAN}
+if TYPE_CHECKING:
+    from .dataset import Dataset
+    from .metrics import MetricChoice
+
+# Each subcommand imports the modules it uses inside its _cmd_* function, so a
+# cold call compiles and runs only those; `rank` never loads correlation.
 
 
 def _int_at_least(low: int):
@@ -60,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     similar = argparse.ArgumentParser(add_help=False)  # options shared by rank and nearest
     similar.add_argument("--target", required=True)
-    similar.add_argument("--metric", choices=sorted(_METRICS), default="p1")
+    similar.add_argument("--metric", choices=["p1", "p2"], default="p1")
     similar.add_argument("--format", choices=["table", "csv", "json"], default="table")
     _add_data_options(similar)
 
@@ -102,21 +90,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> Dataset:
+    from .dataset import load_dataset, load_reference_dataset
+    from .schema import reference_schema, schema_from_json
+
     schema = schema_from_json(args.schema) if args.schema else reference_schema()
     if args.data:
         return load_dataset(args.data, schema)
     return load_reference_dataset(schema)
 
 
+def _metric(args: argparse.Namespace) -> MetricChoice:
+    from .metrics import EUCLIDEAN, MANHATTAN
+
+    return {"p1": MANHATTAN, "p2": EUCLIDEAN}[args.metric]
+
+
 def _cmd_rank(args: argparse.Namespace) -> int:
+    from .normalization import normalize
+    from .ranking import rank_by_similarity
+    from .reports import emit_ranking
+
     matrix = normalize(_load(args))
-    ranking = rank_by_similarity(matrix, args.target, _METRICS[args.metric])
+    ranking = rank_by_similarity(matrix, args.target, _metric(args))
     sys.stdout.write(emit_ranking(ranking, args.format))
     return 0
 
 
 def _cmd_nearest(args: argparse.Namespace) -> int:
-    metric = _METRICS[args.metric]
+    from .normalization import normalize
+    from .ranking import SimilarityRanking, nearest_k
+    from .reports import emit_ranking
+
+    metric = _metric(args)
     matrix = normalize(_load(args))
     entries = nearest_k(matrix, args.target, args.k, metric)
     ranking = SimilarityRanking(args.target, metric, tuple(entries))
@@ -125,6 +130,9 @@ def _cmd_nearest(args: argparse.Namespace) -> int:
 
 
 def _cmd_corr(args: argparse.Namespace) -> int:
+    from .correlation import correlation_matrix, top_correlated_pairs
+    from .reports import correlation_to_csv, top_pairs_csv, top_pairs_json, top_pairs_table
+
     matrix = correlation_matrix(_load(args))
     if args.top is None:
         sys.stdout.write(correlation_to_csv(matrix))
@@ -135,6 +143,8 @@ def _cmd_corr(args: argparse.Namespace) -> int:
 
 
 def _cmd_scatter(args: argparse.Namespace) -> int:
+    from .reports import emit_scatter, emit_scatter_svg, scatter_data
+
     series = scatter_data(_load(args), args.x, args.y, with_trend=args.trend)
     if args.svg:
         emit_scatter_svg(series, args.svg)
@@ -144,11 +154,16 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_normalized(args: argparse.Namespace) -> int:
+    from .normalization import normalize
+    from .reports import normalized_to_csv
+
     sys.stdout.write(normalized_to_csv(normalize(_load(args))))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .dataset import validate
+
     violations = validate(_load(args))
     print("\n".join(map(str, violations)) or "ok")
     return 2 if violations else 0

@@ -13,13 +13,15 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence, Union
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
-from .correlation import CorrelationCell, CorrelationMatrix, least_squares_line
-from .dataset import Dataset
 from .errors import EmptySeries
-from .normalization import NormalizedMatrix
-from .ranking import SimilarityRanking
+
+if TYPE_CHECKING:  # annotations only: rank need not load correlation, nor corr ranking
+    from .correlation import CorrelationCell, CorrelationMatrix
+    from .dataset import Dataset
+    from .normalization import NormalizedMatrix
+    from .ranking import SimilarityRanking
 
 
 class ScatterSeries(NamedTuple):
@@ -71,6 +73,8 @@ def emit_ranking(ranking: SimilarityRanking, fmt: str = "table") -> str:
 
 def scatter_data(dataset: Dataset, x: str, y: str, with_trend: bool = False) -> ScatterSeries:
     """Raw (x, y) values per player for two criteria present in the dataset."""
+    from .correlation import least_squares_line
+
     xs, ys = dataset.column(x), dataset.column(y)
     trend = least_squares_line(xs, ys, names=(x, y)) if with_trend else None
     return ScatterSeries(x, y, tuple(zip(dataset.names, xs, ys)), trend)

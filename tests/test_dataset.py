@@ -203,6 +203,27 @@ def test_validate_flags_missing_value():
     assert violations[0].subject == "b/Y"
 
 
+def test_validate_lists_cell_and_column_violations_in_order():
+    """Column by column in schema order, players in file order within a column; a clean
+    column adds nothing, and a column with bad cells still has its finite cells checked."""
+    big = 1e308
+    schema = CriteriaSchema(tuple(CriterionSpec(c, Direction.MAXIMIZE) for c in "VWXYZ"))
+    dataset = Dataset(schema, (
+        PlayerRecord("a", {"V": 1.0, "W": big, "X": -math.inf, "Y": math.nan, "Z": big}),
+        PlayerRecord("b", {"V": 2.0, "X": 2.0, "Z": -big}),
+        PlayerRecord("c", {"V": 3.0, "W": -big, "X": 3.0, "Y": math.inf, "Z": 0.0}),
+    ))
+    assert [tuple(v) for v in validate(dataset)] == [
+        ("MissingValue", "b/W", "included criterion has no value"),
+        ("NonFiniteSpread", "W", "max - min is not finite"),
+        ("NonFiniteValue", "a/X", "value is -inf"),
+        ("NonFiniteValue", "a/Y", "value is nan"),
+        ("MissingValue", "b/Y", "included criterion has no value"),
+        ("NonFiniteValue", "c/Y", "value is inf"),
+        ("NonFiniteSpread", "Z", "max - min is not finite"),
+    ]
+
+
 
 _XY = CriteriaSchema((CriterionSpec("X", Direction.MAXIMIZE), CriterionSpec("Y", Direction.MAXIMIZE)))
 

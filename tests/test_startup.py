@@ -1,5 +1,5 @@
-"""What `import simrank.cli` costs a cold CLI call, and whether each source module uses what it
-imports; both checked by name, not by time."""
+"""What `import simrank` and each CLI subcommand load, and whether each source module uses
+what it imports; all checked by module name, not by time."""
 
 import ast
 import os
@@ -7,24 +7,58 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Each of these pulls in a large import tree that no subcommand needs.
 HEAVY = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "dataclasses", "inspect")
 
 
+CORR = ("simrank.correlation", "simrank.special")
+RANK = ("simrank.normalization", "simrank.metrics", "simrank.ranking")
+
+# one run of each subcommand, and the simrank modules it must not load
+RUNS = (
+    (["rank", "--target", "Messi", "--metric", "p2"], CORR),
+    (["nearest", "--target", "Messi", "-k", "3"], CORR),
+    (["dump-normalized"], CORR),
+    (["corr", "--top", "3", "--format", "json"], RANK),
+    (["scatter", "-x", "KeyP", "-y", "AvPasses", "--trend"], RANK),
+    (["validate"], ("simrank.reports", "simrank.ranking")),
+)
+
+
 def _modules_after(code: str) -> set[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    done = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+    done = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules, file=sys.stderr)"],
                           env=env, capture_output=True, text=True, check=True, timeout=60)
-    return set(done.stdout.split())
+    return set(done.stderr.split())
+
+
+def _heavy(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules if any(m == h or m.startswith(h + ".") for h in HEAVY))
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():
     added = _modules_after("import simrank.cli") - _modules_after("pass")
-    assert "simrank.cli" in added
-    heavy = sorted(m for m in added if any(m == h or m.startswith(h + ".") for h in HEAVY))
-    assert heavy == []
+    assert sorted(m for m in added if m.startswith("simrank")) == ["simrank", "simrank.cli", "simrank.errors"]
+    assert _heavy(added) == []
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _modules_after("import simrank; assert simrank.__version__")
+    assert sorted(m for m in loaded if m.startswith("simrank.")) == []
+    # a submodule still loads on first use, as the benchmark's set-up probe reaches it
+    loaded = _modules_after("import simrank; simrank.dataset.load_dataset; simrank.schema.reference_schema")
+    assert {"simrank.dataset", "simrank.schema"} <= loaded
+
+
+@pytest.mark.parametrize("argv, unused", RUNS, ids=[run[0][0] for run in RUNS])
+def test_subcommand_loads_only_what_it_uses(argv, unused):
+    loaded = _modules_after(f"from simrank.cli import cli_main; assert cli_main({argv!r}) == 0")
+    assert sorted(loaded.intersection(unused)) == []
+    assert _heavy(loaded - _modules_after("pass")) == []
 
 
 def test_every_import_is_used():
