@@ -193,5 +193,13 @@ def main() -> None:
     sys.exit(cli_main())
 
 
+def __getattr__(name: str):
+    """``simrank.cli.normalize``, which perfbench/spans.py reads, loads ``normalization`` on first use."""
+    if name == "normalize":
+        from .normalization import normalize
+        return normalize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 if __name__ == "__main__":
     main()

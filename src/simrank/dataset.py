@@ -132,10 +132,10 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
     pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
     rows: dict[str, tuple[float, ...]] = {}  # player -> values in matched order
     for line, row in enumerate(reader, start=2):
-        name = row[0].strip() if row else ""
-        if not name:  # a blank row is skipped, a row with cells but no name refused
-            if not any(map(str.strip, row)):
-                continue
+        if not any(map(str.strip, row)):
+            continue
+        name = row[0].strip()
+        if not name:
             raise ParseError(line, "Player", "empty player name")
         if name in rows:
             raise DuplicatePlayer(name)
@@ -206,17 +206,14 @@ def validate(dataset: Dataset) -> list[Violation]:
     from .normalization import _extrema
 
     for c in dataset.schema.included_names():
-        finite = column = dataset.table.get(c, (None,) * len(names))
-        if None in column or not all(map(math.isfinite, column)):  # load_dataset leaves no such cell
-            finite = []
-            for name, v in zip(names, column):
-                if v is None:
-                    violations.append(Violation("MissingValue", f"{name}/{c}",
-                                                "included criterion has no value"))
-                elif not math.isfinite(v):
-                    violations.append(Violation("NonFiniteValue", f"{name}/{c}", f"value is {v!r}"))
-                else:
-                    finite.append(v)
+        finite = []
+        for name, v in zip(names, dataset.table.get(c, (None,) * len(names))):
+            if v is None:
+                violations.append(Violation("MissingValue", f"{name}/{c}", "included criterion has no value"))
+            elif not math.isfinite(v):
+                violations.append(Violation("NonFiniteValue", f"{name}/{c}", f"value is {v!r}"))
+            else:
+                finite.append(v)
         if finite:
             try:  # an infinite spread also makes the sum of squares infinite: report it once
                 _extrema(finite, c)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import metrics
 from .errors import KOutOfRange
-from .metrics import MANHATTAN, MetricChoice, distance_to_target
+from .metrics import MANHATTAN, MetricChoice
 from .normalization import NormalizedMatrix
 
 
@@ -32,7 +33,7 @@ def rank_by_similarity(
     matrix: NormalizedMatrix, target: str, metric: MetricChoice = MANHATTAN
 ) -> SimilarityRanking:
     """Rank all other players by ascending distance to ``target``."""
-    distances = distance_to_target(matrix, target, metric)
+    distances = metrics.distance_to_target(matrix, target, metric)
     ordered = sorted(distances.items(), key=lambda item: (item[1], item[0]))
     entries = tuple(
         RankingEntry(rank, player, distance)
@@ -49,3 +50,11 @@ def nearest_k(
     if not 1 <= k <= limit:
         raise KOutOfRange(f"k must be between 1 and {limit}, got {k}")
     return list(rank_by_similarity(matrix, target, metric).entries[:k])
+
+
+def __getattr__(name: str):
+    """``distance_to_target`` is looked up in ``metrics`` on each use, never copied here, so a
+    wrapper put on it (perfbench/spans.py) is seen, and then gone, whatever the import order."""
+    if name == "distance_to_target":
+        return metrics.distance_to_target
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

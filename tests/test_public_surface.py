@@ -74,3 +74,31 @@ def test_run_as_module_writes_nothing_to_stderr():
     done = _run("-m", "simrank.cli", "rank", "--target", "Messi")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.splitlines()[1] == "1  Coutinho  3.769"
+
+
+def test_names_the_benchmark_tracer_reads_stay_live(monkeypatch):
+    """perfbench/spans.py wraps `metrics.distance_to_target` and `normalization.normalize` in
+    place and reads them back through `simrank.cli` and `simrank.ranking`."""
+    loaded = _run("-c", "import sys, simrank.cli; print('simrank.normalization' in sys.modules)").stdout
+    assert loaded.strip() == "False"
+    import simrank.cli
+    import simrank.metrics
+    import simrank.normalization
+    import simrank.ranking
+
+    assert simrank.cli.normalize is simrank.normalization.normalize
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    original = simrank.metrics.distance_to_target
+    monkeypatch.setattr(simrank.metrics, "distance_to_target", counted)
+    assert simrank.ranking.distance_to_target is counted
+    simrank.ranking.rank_by_similarity(simrank.normalization.normalize(simrank.load_reference_dataset()), "Messi")
+    assert calls == ["Messi"]
+    monkeypatch.undo()
+    assert simrank.ranking.distance_to_target is original
+    with pytest.raises(AttributeError, match="no_such_name"):
+        simrank.cli.no_such_name
