@@ -111,6 +111,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 def least_squares_line(xs: Sequence[float], ys: Sequence[float],
                        names: tuple[str, str] = ("x", "y")) -> tuple[float, float]:
     """Ordinary least squares fit y = slope * x + intercept; errors name the columns ``names``."""
+    if len(xs) != len(ys):
+        raise LengthMismatch(f"column lengths differ: {len(xs)} vs {len(ys)}")
+    if len(xs) < 2:
+        raise InsufficientSamples(f"need at least 2 paired values, got {len(xs)}")
     (mean_x, dx, ss_x), (mean_y, dy, _) = _centre(xs, names[0]), _centre(ys, names[1])
     if ss_x == 0.0:
         raise ConstantColumn(names[0])

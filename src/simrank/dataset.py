@@ -112,6 +112,8 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise EmptyDataset("CSV has no header row") from None
+    if header:  # a text stream the caller opened as plain "utf-8" keeps the BOM
+        header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
     if not header or header[0] != "Player":
         raise MissingColumn("Player")
@@ -130,27 +132,33 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
     index = [col_index[c] for c in matched]
     # itemgetter of one index returns the bare cell, not a 1-tuple
     pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
-    rows: dict[str, tuple[float, ...]] = {}  # player -> values in matched order
+    names: dict[str, None] = {}  # players in file order, as a dict to catch duplicates
+    columns: list[list[float]] = [[] for _ in matched]  # one per matched criterion
     for line, row in enumerate(reader, start=2):
         if not any(map(str.strip, row)):
             continue
         name = row[0].strip()
         if not name:
             raise ParseError(line, "Player", "empty player name")
-        if name in rows:
+        if name in names:
             raise DuplicatePlayer(name)
         try:  # float() ignores surrounding whitespace
             values = tuple(map(float, pick(row)))
         except (ValueError, IndexError):  # a bad cell or a short row
             raise _first_bad_cell(row, line, matched, index) from None
-        if not all(map(math.isfinite, values)):
+        # an inf or nan cell never gives a finite sum, so only a non-finite sum needs a cell check
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise _first_bad_cell(row, line, matched, index)
-        rows[name] = values
+        names[name] = None
+        any(map(list.append, columns, values))  # append returns None, so any() runs them all
 
-    if not rows:
+    if not names:
         raise EmptyDataset("CSV has no data rows")
+    # one column at a time, so each list is freed as its tuple is built
+    columns.reverse()
+    table = {criterion: tuple(columns.pop()) for criterion in matched}
     # _make skips __new__, which builds a Dataset from records
-    return Dataset._make((schema, tuple(rows), dict(zip(matched, zip(*rows.values())))))
+    return Dataset._make((schema, tuple(names), table))
 
 
 def _first_bad_cell(row: list[str], line: int, matched: list[str], index: list[int]) -> ParseError:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
-from .errors import EmptySeries
+from .errors import EmptySeries, NonFiniteSpread
 
 if TYPE_CHECKING:  # annotations only: rank need not load correlation, nor corr ranking
     from .correlation import CorrelationCell, CorrelationMatrix
@@ -104,9 +105,13 @@ _WIDTH, _HEIGHT = 800, 560
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 40, 40, 60
 
 
-def _axis_range(values: Sequence[float]) -> tuple[float, float]:
+def _axis_range(values: Sequence[float], name: str) -> tuple[float, float]:
+    """The values' range padded by 5% a side; NonFiniteSpread(name) if the padded
+    width overflows, since no point would then get a finite coordinate."""
     lo, hi = min(values), max(values)
     pad = (hi - lo) * 0.05 or 1.0
+    if not math.isfinite((hi + pad) - (lo - pad)):
+        raise NonFiniteSpread(name)
     return lo - pad, hi + pad
 
 
@@ -124,8 +129,8 @@ def render_scatter_svg(series: ScatterSeries) -> str:
     if not series.points:
         raise EmptySeries("cannot render a scatter plot without points")
 
-    x_lo, x_hi = _axis_range([p[1] for p in series.points])
-    y_lo, y_hi = _axis_range([p[2] for p in series.points])
+    x_lo, x_hi = _axis_range([p[1] for p in series.points], series.x_criterion)
+    y_lo, y_hi = _axis_range([p[2] for p in series.points], series.y_criterion)
     plot_w = _WIDTH - _LEFT - _RIGHT
     plot_h = _HEIGHT - _TOP - _BOTTOM
 

@@ -315,10 +315,15 @@ def _overflowing_csv(tmp_path, dataset, cells=("1e308", "-1e308")):  # max - min
 
 @pytest.mark.parametrize("argv", [("rank", "--target", "Messi"),
                                   ("nearest", "--target", "Messi", "-k", "3"),
-                                  ("corr",), ("dump-normalized",), ("validate",)],
+                                  ("corr",), ("dump-normalized",), ("validate",),
+                                  ("scatter", "-x", "KeyP", "-y", "AvPasses", "--svg")],
                          ids=lambda argv: argv[0])
 def test_non_finite_spread_is_refused(capsys, tmp_path, reference_dataset, argv):
+    svg = tmp_path / "plot.svg"
+    if argv[-1] == "--svg":
+        argv += (str(svg),)
     code, out, err = run(capsys, *argv, "--data", _overflowing_csv(tmp_path, reference_dataset))
+    assert not svg.exists()
     if argv[0] == "validate":  # violations are validate's report, printed on stdout
         assert (code, out, err) == (2, "NonFiniteSpread: KeyP: max - min is not finite\n", "")
     else:

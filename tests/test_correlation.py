@@ -48,6 +48,17 @@ def test_pearson_errors():
         pearson([1e308, 1e308, 0.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("xs, ys, error, message", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0], LengthMismatch, "column lengths differ: 3 vs 2"),
+    ([], [], InsufficientSamples, "need at least 2 paired values, got 0"),
+    ([1.0], [2.0], InsufficientSamples, "need at least 2 paired values, got 1"),
+], ids=["unequal-lengths", "empty", "one-point"])
+def test_least_squares_line_checks_its_inputs(xs, ys, error, message):
+    with pytest.raises(error) as exc:
+        least_squares_line(xs, ys)
+    assert str(exc.value) == message
+
+
 def test_pearson_affine_invariance():
     rng = random.Random(11)
     xs = [rng.random() for _ in range(29)]

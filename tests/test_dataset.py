@@ -3,6 +3,7 @@ import io
 import math
 import random
 import struct
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -149,6 +150,11 @@ def test_bytes_stream_accepted(reference_dataset):
     assert load_dataset(stream, reference_schema()) == reference_dataset
 
 
+def test_bom_in_a_text_stream_is_dropped(reference_dataset):
+    # a caller that opens the file as "utf-8" rather than "utf-8-sig" keeps the BOM in the text
+    assert _load_text("\ufeff" + _reference_text()) == reference_dataset
+
+
 def test_bytes_stream_is_left_open():
     stream = io.BytesIO(_reference_text().encode("utf-8"))
     load_dataset(stream, reference_schema())
@@ -256,6 +262,11 @@ def test_load_error_contract(text, error, row, column, message):
     assert str(exc.value) == message
 
 
+def test_finite_cells_whose_row_sum_overflows_are_accepted():
+    dataset = load_dataset(io.StringIO("Player,X,Y\na,1e308,1e308\nb,0,-1e308\n"), _XY)
+    assert dataset.table == {"X": (1e308, 0.0), "Y": (1e308, -1e308)}
+
+
 def test_loaded_records_match_the_record_constructor(reference_dataset):
     """What tests and the benchmark's tracer read: a players view of dicts, equal to built records."""
     rows = list(csv.DictReader(io.StringIO(_reference_text())))
@@ -283,3 +294,21 @@ def test_round_trip_is_bit_exact_at_scale():
     for c, values in columns.items():
         assert [struct.pack("d", v) for v in reloaded.column(c)] == \
             [struct.pack("d", v) for v in values], c
+
+
+def test_load_holds_the_table_about_once():
+    # the table keeps a float and a tuple slot per cell; holding every row as a tuple
+    # until the columns are built would add a second 8-byte slot per cell
+    n, k = 5000, 17
+    rng = random.Random(11)
+    dataset = build_dataset([f"p{i}" for i in range(n)],
+                            {f"C{j}": [round(rng.uniform(0, 100), 2) for _ in range(n)] for j in range(k)})
+    stream = io.StringIO(dataset_to_csv(dataset))
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(stream, dataset.schema)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == dataset
+    assert (peak - retained) / (n * k) < 4
