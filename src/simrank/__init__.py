@@ -19,7 +19,7 @@ _EXPORTS = {  # module -> the public names it defines
     "dataset": "Dataset PlayerRecord Violation dataset_to_csv load_dataset load_reference_dataset validate",
     "errors": "ConstantColumn DegenerateColumnWarning DimensionMismatch DuplicatePlayer EmptyDataset "
               "EmptySeries InsufficientSamples KOutOfRange LengthMismatch MissingColumn NonFiniteSpread "
-              "NonFiniteSumOfSquares ParseError SimrankError UnknownCriterion UnknownPlayer",
+              "NonFiniteSumOfSquares NonFiniteTrend ParseError SimrankError UnknownCriterion UnknownPlayer",
     "metrics": "EUCLIDEAN MANHATTAN MetricChoice distance_to_target manhattan_distance minkowski_distance",
     "normalization": "NormalizedMatrix normalize",
     "ranking": "RankingEntry SimilarityRanking nearest_k rank_by_similarity",

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .dataset import Dataset
 from .errors import (ConstantColumn, InsufficientSamples, KOutOfRange, LengthMismatch,
-                     NonFiniteSumOfSquares, UnknownCriterion)
+                     NonFiniteSumOfSquares, NonFiniteTrend, UnknownCriterion)
 from .special import student_t_two_tailed
 
 
@@ -110,7 +110,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def least_squares_line(xs: Sequence[float], ys: Sequence[float],
                        names: tuple[str, str] = ("x", "y")) -> tuple[float, float]:
-    """Ordinary least squares fit y = slope * x + intercept; errors name the columns ``names``."""
+    """Ordinary least squares fit y = slope * x + intercept; errors name the columns ``names``,
+    and NonFiniteTrend names the x column when the slope or intercept overflows."""
     if len(xs) != len(ys):
         raise LengthMismatch(f"column lengths differ: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
@@ -119,7 +120,10 @@ def least_squares_line(xs: Sequence[float], ys: Sequence[float],
     if ss_x == 0.0:
         raise ConstantColumn(names[0])
     slope = math.fsum(map(operator.mul, dx, dy)) / ss_x
-    return slope, mean_y - slope * mean_x
+    intercept = mean_y - slope * mean_x
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise NonFiniteTrend(names[0])
+    return slope, intercept
 
 
 def two_tailed_p_value(rho: float, n: int) -> float:

@@ -49,23 +49,18 @@ class Violation(NamedTuple):
         return f"{self.rule}: {self.subject}: {self.message}"
 
 
-class Dataset(NamedTuple("_Dataset", [("schema", CriteriaSchema), ("names", tuple[str, ...]),
-                                      ("table", dict[str, tuple[float, ...]])])):
+class Dataset(NamedTuple):
     """Immutable matrix of raw values under a governing schema, stored by column.
 
     ``names`` holds the players in file order and ``table`` one tuple of raw
-    values per schema criterion the data carries, in schema order.
-    ``Dataset(schema, players)`` builds one from PlayerRecords, holding None for
-    a cell a record lacks; ``players`` and ``player()`` build records back.
+    values per schema criterion the data carries, in schema order; a None cell
+    is a missing value, which ``validate`` reports. ``players`` and ``player()``
+    build PlayerRecords from it.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, schema: CriteriaSchema, players: Iterable[PlayerRecord]):
-        players = tuple(players)
-        carried = set().union(*(p.values for p in players))
-        table = {c: tuple(p.values.get(c) for p in players) for c in schema.names() if c in carried}
-        return cls._make((schema, tuple(p.name for p in players), table))
+    schema: CriteriaSchema
+    names: tuple[str, ...]
+    table: dict[str, tuple[float, ...]]
 
     @property
     def players(self) -> tuple[PlayerRecord, ...]:
@@ -157,8 +152,7 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
     # one column at a time, so each list is freed as its tuple is built
     columns.reverse()
     table = {criterion: tuple(columns.pop()) for criterion in matched}
-    # _make skips __new__, which builds a Dataset from records
-    return Dataset._make((schema, tuple(names), table))
+    return Dataset(schema, tuple(names), table)
 
 
 def _first_bad_cell(row: list[str], line: int, matched: list[str], index: list[int]) -> ParseError:

@@ -103,6 +103,12 @@ class NonFiniteSumOfSquares(NonFiniteColumn):
     detail = "sum of squared deviations is not finite"
 
 
+class NonFiniteTrend(NonFiniteColumn):
+    """A least-squares slope or intercept overflows a double: no trend line against this x column."""
+
+    detail = "least-squares trend is not finite"
+
+
 class InsufficientSamples(SimrankError):
     """Too few observations: min-max scaling needs 2 players, the significance test n >= 3."""
 

@@ -114,8 +114,8 @@ def _text_stream(source: Source) -> Iterator[IO[str]]:
 
 def schema_from_json(source: Source) -> CriteriaSchema:
     """Load a schema from a JSON file path or an open stream."""
-    with _text_stream(source) as stream:
-        items = json.load(stream)
+    with _text_stream(source) as stream:  # a text stream the caller opened as plain "utf-8" keeps the BOM
+        items = json.loads(stream.read().removeprefix("\ufeff"))
     named = isinstance(items, list) and all(isinstance(i, dict) and isinstance(i.get("name"), str)
                                             for i in items)
     if not named:

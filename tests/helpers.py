@@ -10,7 +10,6 @@ from simrank import (
     CriterionSpec,
     Dataset,
     Direction,
-    PlayerRecord,
 )
 
 
@@ -33,36 +32,21 @@ def build_dataset(
             for name in columns
         )
     )
-    records = tuple(
-        PlayerRecord(player, {name: float(values[i]) for name, values in columns.items()})
-        for i, player in enumerate(players)
-    )
-    return Dataset(schema, records)
+    table = {name: tuple(map(float, values)) for name, values in columns.items()}
+    return Dataset(schema, tuple(players), table)
 
 
 def transform_column(dataset: Dataset, criterion: str, a: float, b: float) -> Dataset:
     """Copy of ``dataset`` with one raw column mapped to a*x + b."""
-    records = tuple(
-        PlayerRecord(
-            p.name,
-            {k: (a * v + b if k == criterion else v) for k, v in p.values.items()},
-        )
-        for p in dataset.players
-    )
-    return Dataset(dataset.schema, records)
+    column = tuple(a * v + b for v in dataset.table[criterion])
+    return dataset._replace(table={**dataset.table, criterion: column})
 
 
 def replace_value(dataset: Dataset, player: str, criterion: str, value: float) -> Dataset:
     """Copy of ``dataset`` with a single cell overwritten."""
-    records = tuple(
-        PlayerRecord(
-            p.name,
-            {k: (value if p.name == player and k == criterion else v)
-             for k, v in p.values.items()},
-        )
-        for p in dataset.players
-    )
-    return Dataset(dataset.schema, records)
+    column = list(dataset.table[criterion])
+    column[dataset.names.index(player)] = value
+    return dataset._replace(table={**dataset.table, criterion: tuple(column)})
 
 
 # -- independent Student-t oracle ------------------------------------------

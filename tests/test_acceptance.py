@@ -37,7 +37,6 @@ from simrank import (
     manhattan_distance,
     minkowski_distance,
     normalize,
-    rank_by_similarity,
     student_t_cdf,
     two_tailed_p_value,
 )

@@ -332,6 +332,20 @@ def test_non_finite_spread_is_refused(capsys, tmp_path, reference_dataset, argv)
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("--trend",), ("--trend", "--svg")], ids=["trend", "trend-svg"])
+def test_non_finite_trend_is_refused(capsys, tmp_path, argv):
+    """Both sums of squares are finite, but the fit y = 1e313 * x overflows."""
+    schema = _write(tmp_path / "schema.json",
+                    '[{"name": "X", "direction": "max"}, {"name": "Y", "direction": "max"}]')
+    data = _write(tmp_path / "steep.csv", "Player,X,Y\na,0,0\nb,1e-160,1e153\nc,2e-160,2e153\n")
+    svg = tmp_path / "plot.svg"
+    if argv[-1] == "--svg":
+        argv += (str(svg),)
+    code, out, err = run(capsys, "scatter", "-x", "X", "-y", "Y", *argv, "--data", data, "--schema", schema)
+    assert (code, out, err) == (2, "", "simrank: error: column 'X': least-squares trend is not finite\n")
+    assert not svg.exists()
+
+
 # the spread is finite, but fsum of the column overflows (1e308 twice) or a square does (1e200)
 @pytest.mark.parametrize("cells", [("1e308", "1e308"), ("1e200",)], ids=["sum", "square"])
 @pytest.mark.parametrize("argv", [("corr",), ("scatter", "-x", "KeyP", "-y", "AvPasses", "--trend"),

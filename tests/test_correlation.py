@@ -12,6 +12,7 @@ from simrank import (
     KOutOfRange,
     LengthMismatch,
     NonFiniteSumOfSquares,
+    NonFiniteTrend,
     correlation_matrix,
     least_squares_line,
     pearson,
@@ -52,7 +53,9 @@ def test_pearson_errors():
     ([1.0, 2.0, 3.0], [1.0, 2.0], LengthMismatch, "column lengths differ: 3 vs 2"),
     ([], [], InsufficientSamples, "need at least 2 paired values, got 0"),
     ([1.0], [2.0], InsufficientSamples, "need at least 2 paired values, got 1"),
-], ids=["unequal-lengths", "empty", "one-point"])
+    ([0.0, 1e-160, 2e-160], [0.0, 1e153, 2e153], NonFiniteTrend,
+     "column 'x': least-squares trend is not finite"),
+], ids=["unequal-lengths", "empty", "one-point", "non-finite-fit"])
 def test_least_squares_line_checks_its_inputs(xs, ys, error, message):
     with pytest.raises(error) as exc:
         least_squares_line(xs, ys)

@@ -1,7 +1,9 @@
 """The names `simrank` exports, pinned: each resolves lazily to the object its module defines."""
 
+import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -19,8 +21,8 @@ PUBLIC = {  # defining module -> the names simrank re-exports from it
                 "load_reference_dataset", "validate"],
     "errors": ["ConstantColumn", "DegenerateColumnWarning", "DimensionMismatch", "DuplicatePlayer",
                "EmptyDataset", "EmptySeries", "InsufficientSamples", "KOutOfRange", "LengthMismatch",
-               "MissingColumn", "NonFiniteSpread", "NonFiniteSumOfSquares", "ParseError", "SimrankError",
-               "UnknownCriterion", "UnknownPlayer"],
+               "MissingColumn", "NonFiniteSpread", "NonFiniteSumOfSquares", "NonFiniteTrend", "ParseError",
+               "SimrankError", "UnknownCriterion", "UnknownPlayer"],
     "metrics": ["EUCLIDEAN", "MANHATTAN", "MetricChoice", "distance_to_target", "manhattan_distance",
                 "minkowski_distance"],
     "normalization": ["NormalizedMatrix", "normalize"],
@@ -35,7 +37,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_exported_names_are_pinned():
-    assert len(NAMES) == 59
+    assert len(NAMES) == 60
     assert sorted(simrank.__all__) == NAMES
 
 
@@ -46,6 +48,28 @@ def test_each_name_is_its_defining_module_object():
             scope = {}
             exec(f"from simrank import {name}", scope)
             assert scope[name] is getattr(defining, name), name
+
+
+# each public record type, built from the reference dataset
+RECORDS = {
+    "Dataset": lambda dataset: dataset,
+    "NormalizedMatrix": lambda dataset: simrank.normalize(dataset),
+    "SimilarityRanking": lambda dataset: simrank.rank_by_similarity(simrank.normalize(dataset), "Messi"),
+    "CorrelationMatrix": lambda dataset: simrank.correlation_matrix(dataset),
+    "CriteriaSchema": lambda dataset: dataset.schema,
+    "MetricChoice": lambda dataset: simrank.EUCLIDEAN,
+    "ScatterSeries": lambda dataset: simrank.scatter_data(dataset, "KeyP", "AvPasses", with_trend=True),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_copies_pickles_and_rebuilds_from_its_fields(reference_dataset, name):
+    record = RECORDS[name](reference_dataset)
+    assert type(record) is getattr(simrank, name)
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record)),
+                 type(record)(*record)):
+        assert type(twin) is type(record)
+        assert twin == record
 
 
 def _run(*argv: str) -> subprocess.CompletedProcess:

@@ -3,10 +3,8 @@ import pytest
 from golden import DISTANCE_TOLERANCE, MESSI_RANKING, RONALDO_FARTHEST, RONALDO_NEAREST_3
 from helpers import build_dataset, transform_column
 from simrank import (
-    Dataset,
     KOutOfRange,
     MANHATTAN,
-    PlayerRecord,
     UnknownPlayer,
     nearest_k,
     normalize,
@@ -72,9 +70,11 @@ def test_nearest_k_is_prefix_of_full_ranking(reference_matrix):
 
 
 def test_duplicate_of_target_ranks_first(reference_dataset):
-    messi = reference_dataset.player("Messi")
-    clone = PlayerRecord("Messi clone", dict(messi.values))
-    extended = Dataset(reference_dataset.schema, reference_dataset.players + (clone,))
+    messi = reference_dataset.names.index("Messi")
+    extended = reference_dataset._replace(
+        names=reference_dataset.names + ("Messi clone",),
+        table={c: column + column[messi:messi + 1] for c, column in reference_dataset.table.items()},
+    )
     before = rank_by_similarity(normalize(reference_dataset), "Messi")
     after = rank_by_similarity(normalize(extended), "Messi")
     assert after.entries[0].player == "Messi clone"
@@ -87,11 +87,14 @@ def test_duplicate_of_target_ranks_first(reference_dataset):
 
 def test_removing_any_other_player_keeps_winner(reference_dataset):
     # dropping a player can move column extrema, but never the winner
-    for drop in reference_dataset.names:
+    for at, drop in enumerate(reference_dataset.names):
         if drop in ("Messi", "Coutinho"):
             continue
-        kept = tuple(p for p in reference_dataset.players if p.name != drop)
-        ranking = rank_by_similarity(normalize(Dataset(reference_dataset.schema, kept)), "Messi")
+        kept = reference_dataset._replace(
+            names=reference_dataset.names[:at] + reference_dataset.names[at + 1:],
+            table={c: column[:at] + column[at + 1:] for c, column in reference_dataset.table.items()},
+        )
+        ranking = rank_by_similarity(normalize(kept), "Messi")
         assert ranking.entries[0].player == "Coutinho", drop
 
 

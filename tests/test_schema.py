@@ -86,6 +86,10 @@ def test_schema_file_with_bom(tmp_path):
     assert schema_from_json(path) == reference_schema()
 
 
+def test_bom_in_a_schema_text_stream_is_dropped():
+    assert schema_from_json(io.StringIO("\ufeff" + SCHEMA_FILE.read_text("utf-8"))) == reference_schema()
+
+
 def test_schema_path_beginning_with_bracket(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("[v2] schema.json").write_bytes(SCHEMA_FILE.read_bytes())

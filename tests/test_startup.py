@@ -1,5 +1,5 @@
-"""What `import simrank` and each CLI subcommand load, and whether each source module uses
-what it imports; all checked by module name, not by time."""
+"""What `import simrank` and each CLI subcommand load, and whether each source and test module
+uses what it imports; all checked by module name, not by time."""
 
 import ast
 import os
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # Each of these pulls in a large import tree that no subcommand needs.
 HEAVY = ("xml.sax", "urllib.request", "http.client", "email", "ssl", "dataclasses", "inspect")
@@ -64,7 +65,7 @@ def test_subcommand_loads_only_what_it_uses(argv, unused):
 def test_every_import_is_used():
     """A trim that deletes the last use of a name must delete its import too."""
     stale = []
-    for path in sorted((SRC / "simrank").glob("*.py")):
+    for path in sorted([*(SRC / "simrank").glob("*.py"), *TESTS.glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -76,5 +77,6 @@ def test_every_import_is_used():
                 imported.update({a.asname or a.name: node.lineno for a in node.names})
         # annotations are ordinary expression nodes, so their names count as uses
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        stale += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+        stale += [f"{path.relative_to(SRC.parent)}:{line}: {name}"
+                  for name, line in imported.items() if name not in used]
     assert stale == []
