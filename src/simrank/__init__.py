@@ -18,8 +18,8 @@ _EXPORTS = {  # module -> the public names it defines
                    "significance_stars top_correlated_pairs two_tailed_p_value",
     "dataset": "Dataset PlayerRecord Violation dataset_to_csv load_dataset load_reference_dataset validate",
     "errors": "ConstantColumn DegenerateColumnWarning DimensionMismatch DuplicatePlayer EmptyDataset "
-              "EmptySeries InsufficientSamples KOutOfRange LengthMismatch MissingColumn NonFiniteSpread "
-              "NonFiniteSumOfSquares NonFiniteTrend ParseError SimrankError UnknownCriterion UnknownPlayer",
+              "EmptySeries InsufficientSamples KOutOfRange LengthMismatch MissingColumn NonFiniteColumn "
+              "NonFiniteSpread NonFiniteTrend ParseError SimrankError UnknownCriterion UnknownPlayer",
     "metrics": "EUCLIDEAN MANHATTAN MetricChoice distance_to_target manhattan_distance minkowski_distance",
     "normalization": "NormalizedMatrix normalize",
     "ranking": "RankingEntry SimilarityRanking nearest_k rank_by_similarity",

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from array import array
 from typing import NamedTuple, Sequence
 
 from .dataset import Dataset
-from .errors import (ConstantColumn, InsufficientSamples, KOutOfRange, LengthMismatch,
-                     NonFiniteSumOfSquares, NonFiniteTrend, UnknownCriterion)
+from .errors import (ConstantColumn, InsufficientSamples, KOutOfRange, LengthMismatch, NonFiniteSpread,
+                     NonFiniteTrend, UnknownCriterion)
 from .special import student_t_two_tailed
 
 
@@ -62,38 +61,42 @@ class CorrelationMatrix(NamedTuple):
         return self.cells[i][j]
 
 
-def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float]:
-    """Mean, deviations from it and their sum of squares.
+def _moments(xs: Sequence[float]) -> tuple[float, list[float], float]:
+    mean = math.fsum(xs) / len(xs)
+    deviations = [x - mean for x in xs]
+    return mean, deviations, math.fsum(map(operator.mul, deviations, deviations))
 
-    Raises NonFiniteSumOfSquares(name) if a sum leaves the range of a double.
-    The deviations come back packed as doubles, 8 bytes each against 32 for a
-    float in a list, because correlation_matrix holds every column at once. It
-    unpacks one row's column at a time: iterating an array boxes each element
-    into a new float, iterating a list does not, so one unpacked side makes each
-    pair sum faster without the memory of every column as a list.
+
+def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float, int]:
+    """Mean, deviations from it, their sum of squares, and k, where 2**k scales the last two.
+    k is 0 unless an fsum overflows or the sum leaves [2**-500, 2**500]; the column is then
+    centred again as x * 2**k, with max |x| * 2**k in [0.5, 1). That is exact, Pearson and the
+    least-squares slope are scale-free, and every later sum, root and product stays in range.
+    The mean is unscaled. NonFiniteSpread(name) for a column holding inf or nan. The deviations
+    come back packed, 8 bytes each against a list's 32, as correlation_matrix holds every column
+    at once; it unpacks one row's at a time, since iterating a list, unlike an array, boxes no float.
     """
     try:
-        mean = math.fsum(xs) / len(xs)
-        deviations = [x - mean for x in xs]
-        ss = math.fsum(map(operator.mul, deviations, deviations))
-    except OverflowError:  # an intermediate fsum partial overflowed
-        raise NonFiniteSumOfSquares(name) from None
-    if not math.isfinite(ss):
-        raise NonFiniteSumOfSquares(name)
-    return mean, array("d", deviations), ss
+        mean, deviations, ss = _moments(xs)
+    except (OverflowError, ValueError):  # a partial overflowed, or inf met -inf
+        ss = math.inf
+    k = 0
+    if not 2.0 ** -500 <= ss <= 2.0 ** 500:  # nan included, and 0, which an underflow gives
+        top = max(map(abs, xs))  # max() steps over a nan cell unless it comes first
+        if 0.0 < top < math.inf:  # else all zeros, left as they are, or inf or nan, refused below
+            k = -math.frexp(top)[1]
+            mean, deviations, ss = _moments([math.ldexp(x, k) for x in xs])
+        if not math.isfinite(ss):
+            raise NonFiniteSpread(name)
+    return math.ldexp(mean, -k), array("d", deviations), ss, k
 
 
-def _rho(x: tuple[float, Sequence[float], float], y: tuple[float, Sequence[float], float]) -> float:
+def _rho(x: tuple[float, Sequence[float], float, int], y: tuple[float, Sequence[float], float, int]) -> float:
     """Pearson rho of two columns already centred by ``_centre``."""
-    (_, dx, ss_x), (_, dy, ss_y) = x, y
+    (_, dx, ss_x, _), (_, dy, ss_y, _) = x, y
     if ss_x == 0.0 or ss_y == 0.0:
         raise ConstantColumn()
-    product = ss_x * ss_y
-    if sys.float_info.min <= product <= sys.float_info.max:
-        scale = math.sqrt(product)
-    else:  # the product over- or underflowed; Pearson is scale-free, so take the roots apart
-        scale = math.sqrt(ss_x) * math.sqrt(ss_y)
-    rho = math.fsum(map(operator.mul, dx, dy)) / scale
+    rho = math.fsum(map(operator.mul, dx, dy)) / math.sqrt(ss_x * ss_y)
     # rounding can push an exactly collinear pair a hair past +-1
     return max(-1.0, min(1.0, rho))
 
@@ -102,9 +105,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient of two equal-length columns."""
     if len(xs) != len(ys):
         raise LengthMismatch(f"column lengths differ: {len(xs)} vs {len(ys)}")
-    n = len(xs)
-    if n < 3:
-        raise InsufficientSamples(f"need at least 3 paired values, got {n}")
+    if len(xs) < 3:
+        raise InsufficientSamples(f"need at least 3 paired values, got {len(xs)}")
     return _rho(_centre(xs, "x"), _centre(ys, "y"))
 
 
@@ -116,14 +118,17 @@ def least_squares_line(xs: Sequence[float], ys: Sequence[float],
         raise LengthMismatch(f"column lengths differ: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise InsufficientSamples(f"need at least 2 paired values, got {len(xs)}")
-    (mean_x, dx, ss_x), (mean_y, dy, _) = _centre(xs, names[0]), _centre(ys, names[1])
+    (mean_x, dx, ss_x, kx), (mean_y, dy, _, ky) = _centre(xs, names[0]), _centre(ys, names[1])
     if ss_x == 0.0:
         raise ConstantColumn(names[0])
-    slope = math.fsum(map(operator.mul, dx, dy)) / ss_x
-    intercept = mean_y - slope * mean_x
-    if not (math.isfinite(slope) and math.isfinite(intercept)):
-        raise NonFiniteTrend(names[0])
-    return slope, intercept
+    try:  # ldexp undoes the scales of dx, dy and ss_x, and raises where inf would come out
+        slope = math.ldexp(math.fsum(map(operator.mul, dx, dy)) / ss_x, kx - ky)
+        intercept = mean_y - slope * mean_x
+        if math.isfinite(intercept):
+            return slope, intercept
+    except OverflowError:
+        pass
+    raise NonFiniteTrend(names[0])
 
 
 def two_tailed_p_value(rho: float, n: int) -> float:
@@ -166,8 +171,8 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
 
     grid: list[list[CorrelationCell]] = []
     for i, a in enumerate(criteria):
-        mean, deviations, ss = centred[i]
-        x = (mean, deviations.tolist(), ss)  # the one unpacked column, see _centre
+        mean, deviations, ss, k = centred[i]
+        x = (mean, deviations.tolist(), ss, k)  # the one unpacked column, see _centre
         row: list[CorrelationCell] = []
         for j, b in enumerate(criteria):
             if i == j:

@@ -203,9 +203,7 @@ def validate(dataset: Dataset) -> list[Violation]:
     if len(names) < 2:
         violations.append(Violation("TooFewPlayers", f"{len(names)} player(s)",
                                     "min-max scaling needs at least 2 players"))
-    # correlation and normalization import this module, so not at the top
-    from .correlation import _centre
-    from .normalization import _extrema
+    from .normalization import _extrema  # normalization imports this module, so not at the top
 
     for c in dataset.schema.included_names():
         finite = []
@@ -217,9 +215,8 @@ def validate(dataset: Dataset) -> list[Violation]:
             else:
                 finite.append(v)
         if finite:
-            try:  # an infinite spread also makes the sum of squares infinite: report it once
+            try:
                 _extrema(finite, c)
-                _centre(finite, c)
             except NonFiniteColumn as exc:
                 violations.append(Violation(type(exc).__name__, c, exc.detail))
     return violations

@@ -92,15 +92,9 @@ class NonFiniteColumn(SimrankError):
 
 
 class NonFiniteSpread(NonFiniteColumn):
-    """A column's max - min overflows a double: no min-max scaling."""
+    """A column's max - min is not finite: it overflows a double, or a cell is inf or nan."""
 
     detail = "max - min is not finite"
-
-
-class NonFiniteSumOfSquares(NonFiniteColumn):
-    """A column's sum or sum of squared deviations overflows a double: no Pearson statistics."""
-
-    detail = "sum of squared deviations is not finite"
 
 
 class NonFiniteTrend(NonFiniteColumn):

@@ -106,12 +106,15 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 40, 40, 60
 
 
 def _axis_range(values: Sequence[float], name: str) -> tuple[float, float]:
-    """The values' range padded by 5% a side; NonFiniteSpread(name) if the padded
-    width overflows, since no point would then get a finite coordinate."""
+    """The values' range padded by 5% a side, or unpadded where the padded width would
+    overflow; NonFiniteSpread(name) if max - min overflows, since no point would then
+    get a finite coordinate."""
     lo, hi = min(values), max(values)
+    if not math.isfinite(hi - lo):
+        raise NonFiniteSpread(name)
     pad = (hi - lo) * 0.05 or 1.0
     if not math.isfinite((hi + pad) - (lo - pad)):
-        raise NonFiniteSpread(name)
+        pad = 0.0
     return lo - pad, hi + pad
 
 

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import re
 
 import pytest
 
+from helpers import transform_column
 from simrank import dataset_to_csv, schema_to_json
 from simrank.cli import cli_main
 from simrank.schema import CriteriaSchema, CriterionSpec, Direction
@@ -303,6 +305,9 @@ def test_one_player_is_refused(capsys, tmp_path, argv):
     assert err == "simrank: error: min-max scaling needs at least 2 players, got 1\n"
 
 
+NON_FINITE = re.compile(r"\b(inf|nan)\b")  # as repr() and "{:.2f}" write them
+
+
 def _overflowing_csv(tmp_path, dataset, cells=("1e308", "-1e308")):  # max - min overflows to inf
     rows = list(csv.reader(io.StringIO(dataset_to_csv(dataset))))
     keyp = rows[0].index("KeyP")
@@ -319,17 +324,34 @@ def _overflowing_csv(tmp_path, dataset, cells=("1e308", "-1e308")):  # max - min
                                   ("scatter", "-x", "KeyP", "-y", "AvPasses", "--svg")],
                          ids=lambda argv: argv[0])
 def test_non_finite_spread_is_refused(capsys, tmp_path, reference_dataset, argv):
+    """Min-max scaling and the SVG axes need max - min, so each of those subcommands refuses the
+    column and validate reports it; corr answers, since Pearson does not need the spread."""
     svg = tmp_path / "plot.svg"
     if argv[-1] == "--svg":
         argv += (str(svg),)
     code, out, err = run(capsys, *argv, "--data", _overflowing_csv(tmp_path, reference_dataset))
     assert not svg.exists()
-    if argv[0] == "validate":  # violations are validate's report, printed on stdout
+    if argv[0] == "corr":
+        assert (code, err) == (0, "")
+        assert not NON_FINITE.search(out)
+    elif argv[0] == "validate":  # violations are validate's report, printed on stdout
         assert (code, out, err) == (2, "NonFiniteSpread: KeyP: max - min is not finite\n", "")
     else:
         assert (code, out) == (2, "")
         assert err.startswith("simrank: error: column 'KeyP': ")
         assert err.count("\n") == 1
+
+
+def test_svg_draws_an_axis_whose_padded_range_overflows(capsys, tmp_path, reference_dataset):
+    """max - min is finite, so the axis is drawn without its 5% padding."""
+    data = _overflowing_csv(tmp_path, reference_dataset, ("1.7e308",) + ("0",) * 28)
+    svg = tmp_path / "plot.svg"
+    assert run(capsys, "rank", "--target", "Messi", "--data", data)[0] == 0
+    code, out, err = run(capsys, "scatter", "-x", "KeyP", "-y", "AvPasses", "--svg", str(svg), "--data", data)
+    assert (code, out, err) == (0, "", "")
+    text = svg.read_text(encoding="utf-8")
+    assert text.count("<circle ") == 29
+    assert not NON_FINITE.search(text)
 
 
 @pytest.mark.parametrize("argv", [("--trend",), ("--trend", "--svg")], ids=["trend", "trend-svg"])
@@ -352,10 +374,41 @@ def test_non_finite_trend_is_refused(capsys, tmp_path, argv):
                                   ("scatter", "-x", "AvPasses", "-y", "KeyP", "--trend"), ("validate",)],
                          ids=["corr", "scatter-x", "scatter-y", "validate"])
 def test_non_finite_sum_of_squares_is_refused(capsys, tmp_path, reference_dataset, argv, cells):
+    """No such column is refused: Pearson and the trend centre it again at a power-of-two
+    scale, so each subcommand answers, with no inf or nan in its output."""
     data = _overflowing_csv(tmp_path, reference_dataset, cells)
     code, out, err = run(capsys, *argv, "--data", data)
-    detail = "sum of squared deviations is not finite\n"
+    assert (code, err) == (0, "")
+    assert not NON_FINITE.search(out)
     if argv[0] == "validate":
-        assert (code, out, err) == (2, f"NonFiniteSumOfSquares: KeyP: {detail}", "")
-    else:
-        assert (code, out, err) == (2, "", f"simrank: error: column 'KeyP': {detail}")
+        assert out == "ok\n"
+    elif argv[0] == "scatter":
+        assert out.splitlines()[-1].startswith("# trend slope=")
+
+
+def _corr_and_slope(capsys, *data):
+    """KeyP/AvPasses rho from the full corr matrix, which must have every pair defined, and the
+    KeyP -> AvPasses trend slope."""
+    code, out, err = run(capsys, "corr", *data)
+    assert (code, err) == (0, "")
+    rows = {row[0]: row[1:] for row in csv.reader(io.StringIO(out))}
+    header = rows.pop("criterion")
+    assert len(rows) == 17 and not NON_FINITE.search(out)
+    code, out, err = run(capsys, "scatter", "-x", "KeyP", "-y", "AvPasses", "--trend", *data)
+    assert (code, err) == (0, "")
+    slope = out.splitlines()[-1].split()[2].removeprefix("slope=")
+    return float(rows["KeyP"][header.index("AvPasses")]), float(slope)
+
+
+@pytest.mark.parametrize("columns", [("KeyP",), ("KeyP", "AvPasses")], ids=["KeyP", "both"])
+@pytest.mark.parametrize("f", [1e-300, 1e-160, 1e-100, 1e100, 1e154, 1e200, 1e300])
+def test_pearson_and_trend_answer_at_any_finite_scale(capsys, tmp_path, reference_dataset, columns, f):
+    rho, slope = _corr_and_slope(capsys)
+    scaled = reference_dataset
+    for c in columns:
+        scaled = transform_column(scaled, c, f, 0.0)
+    data = ("--data", _write(tmp_path / "scaled.csv", dataset_to_csv(scaled).encode("utf-8")))
+    scaled_rho, scaled_slope = _corr_and_slope(capsys, *data)
+    assert scaled_rho == pytest.approx(rho, rel=1e-15, abs=0.0)
+    assert scaled_slope == pytest.approx(slope if len(columns) == 2 else slope / f, rel=1e-15, abs=0.0)
+    assert run(capsys, "validate", *data) == (0, "ok\n", "")

@@ -11,7 +11,7 @@ from simrank import (
     InsufficientSamples,
     KOutOfRange,
     LengthMismatch,
-    NonFiniteSumOfSquares,
+    NonFiniteSpread,
     NonFiniteTrend,
     correlation_matrix,
     least_squares_line,
@@ -45,8 +45,22 @@ def test_pearson_errors():
         pearson([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ConstantColumn):
         pearson([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
-    with pytest.raises(NonFiniteSumOfSquares, match="column 'x'"):  # fsum(xs) overflows
-        pearson([1e308, 1e308, 0.0], [1.0, 2.0, 3.0])
+    with pytest.raises(NonFiniteSpread, match="column 'x'"):  # fsum(xs) raises ValueError
+        pearson([math.inf, -math.inf, 1.0], [1.0, 2.0, 3.0])
+
+
+# max() steps over a nan cell unless it comes first, and fsum of inf and -inf raises
+@pytest.mark.parametrize("cells", [[math.nan, 1.0, 2.0, 4.0], [1.0, math.nan, 2.0, 4.0],
+                                   [1.0, 2.0, math.inf, 4.0], [math.inf, -math.inf, 2.0, 4.0]],
+                         ids=["nan-first", "nan-inside", "inf", "inf-and-minus-inf"])
+def test_non_finite_cell_is_refused(cells):
+    good = [1.0, 3.0, 2.0, 5.0]
+    for call, name in [(lambda: pearson(cells, good), "x"), (lambda: pearson(good, cells), "y"),
+                       (lambda: least_squares_line(cells, good), "x"),
+                       (lambda: least_squares_line(good, cells), "y"),
+                       (lambda: correlation_matrix(build_dataset("pqrs", {"A": good, "B": cells})), "B")]:
+        with pytest.raises(NonFiniteSpread, match=f"column '{name}'"):
+            call()
 
 
 @pytest.mark.parametrize("xs, ys, error, message", [

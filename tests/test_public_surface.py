@@ -21,7 +21,7 @@ PUBLIC = {  # defining module -> the names simrank re-exports from it
                 "load_reference_dataset", "validate"],
     "errors": ["ConstantColumn", "DegenerateColumnWarning", "DimensionMismatch", "DuplicatePlayer",
                "EmptyDataset", "EmptySeries", "InsufficientSamples", "KOutOfRange", "LengthMismatch",
-               "MissingColumn", "NonFiniteSpread", "NonFiniteSumOfSquares", "NonFiniteTrend", "ParseError",
+               "MissingColumn", "NonFiniteColumn", "NonFiniteSpread", "NonFiniteTrend", "ParseError",
                "SimrankError", "UnknownCriterion", "UnknownPlayer"],
     "metrics": ["EUCLIDEAN", "MANHATTAN", "MetricChoice", "distance_to_target", "manhattan_distance",
                 "minkowski_distance"],
@@ -39,6 +39,14 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 def test_exported_names_are_pinned():
     assert len(NAMES) == 60
     assert sorted(simrank.__all__) == NAMES
+
+
+def test_every_error_class_is_exported():
+    import simrank.errors
+
+    defined = {name for name, obj in vars(simrank.errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == "simrank.errors"}
+    assert defined <= set(simrank.__all__)
 
 
 def test_each_name_is_its_defining_module_object():

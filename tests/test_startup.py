@@ -26,7 +26,7 @@ RUNS = (
     (["dump-normalized"], CORR),
     (["corr", "--top", "3", "--format", "json"], RANK),
     (["scatter", "-x", "KeyP", "-y", "AvPasses", "--trend"], RANK),
-    (["validate"], ("simrank.reports", "simrank.ranking")),
+    (["validate"], ("simrank.reports", "simrank.ranking", *CORR)),
 )
 
 
