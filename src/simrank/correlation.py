@@ -10,12 +10,20 @@ Significance uses the exact t-test for a correlation coefficient,
 t = rho * sqrt((n - 2) / (1 - rho^2)) with n - 2 degrees of freedom.
 Stars follow the usual ladder: *** for p <= 0.01, ** for p <= 0.05,
 * for p <= 0.10.
+
+The deviations of every centred column are held packed, and ``_cross_sums``
+unpacks one row's at a time for the pair sums of ``correlation_matrix``. On
+a large table the later half of those sums runs in one forked child process
+(``_pair_sums``); its doubles come back as raw bytes, so the matrix is the
+same bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from array import array
 from typing import NamedTuple, Sequence
 
@@ -74,7 +82,8 @@ def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float, int]:
     least-squares slope are scale-free, and every later sum, root and product stays in range.
     The mean is unscaled. NonFiniteSpread(name) for a column holding inf or nan. The deviations
     come back packed, 8 bytes each against a list's 32, as correlation_matrix holds every column
-    at once; it unpacks one row's at a time, since iterating a list, unlike an array, boxes no float.
+    at once; _cross_sums unpacks one row's at a time, since iterating a list, unlike an array,
+    boxes no float.
     """
     try:
         mean, deviations, ss = _moments(xs)
@@ -91,14 +100,11 @@ def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float, int]:
     return math.ldexp(mean, -k), array("d", deviations), ss, k
 
 
-def _rho(x: tuple[float, Sequence[float], float, int], y: tuple[float, Sequence[float], float, int]) -> float:
-    """Pearson rho of two columns already centred by ``_centre``."""
-    (_, dx, ss_x, _), (_, dy, ss_y, _) = x, y
-    if ss_x == 0.0 or ss_y == 0.0:
-        raise ConstantColumn()
-    rho = math.fsum(map(operator.mul, dx, dy)) / math.sqrt(ss_x * ss_y)
+def _rho(cross: float, ss_x: float, ss_y: float) -> float:
+    """Pearson rho from the sum of deviation products and the two sums of squares of two
+    non-constant columns centred by ``_centre``."""
     # rounding can push an exactly collinear pair a hair past +-1
-    return max(-1.0, min(1.0, rho))
+    return max(-1.0, min(1.0, cross / math.sqrt(ss_x * ss_y)))
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -107,7 +113,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise LengthMismatch(f"column lengths differ: {len(xs)} vs {len(ys)}")
     if len(xs) < 3:
         raise InsufficientSamples(f"need at least 3 paired values, got {len(xs)}")
-    return _rho(_centre(xs, "x"), _centre(ys, "y"))
+    (_, dx, ss_x, _), (_, dy, ss_y, _) = _centre(xs, "x"), _centre(ys, "y")
+    if ss_x == 0.0 or ss_y == 0.0:
+        raise ConstantColumn()
+    return _rho(math.fsum(map(operator.mul, dx, dy)), ss_x, ss_y)
 
 
 def least_squares_line(xs: Sequence[float], ys: Sequence[float],
@@ -161,6 +170,66 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
+# The fewest deviation products (rows times pairs) for which correlation_matrix forks. At about
+# 90 ns a product, 1 << 20 of them take about 95 ms serially, against 2-3 ms for the fork, pipe
+# and wait, so a host that runs only one of the CPUs at a time costs the forked call about 10%.
+_FORK_MIN_PRODUCTS = 1 << 20
+
+
+def _cross_sums(centred: list[tuple[float, array, float, int]], pairs: list[tuple[int, int]]) -> array:
+    """fsum of the deviation products of each pair (i, j) of columns centred by ``_centre``.
+    The pairs come in row order, so row i's deviations are unpacked once, and one row at a time."""
+    sums = array("d")
+    row, x = -1, None
+    for i, j in pairs:
+        if i != row:
+            x = None  # before the next row unpacks its own column
+            row, x = i, centred[i][1].tolist()
+        sums.append(math.fsum(map(operator.mul, x, centred[j][1])))
+    return sums
+
+
+def _pair_sums(centred: list[tuple[float, array, float, int]], pairs: list[tuple[int, int]],
+               n: int) -> array:
+    """``_cross_sums(centred, pairs)``, with the later half computed in one forked child where
+    that pays: two or more CPUs, one Python thread (fork is unsafe in a threaded process) and at
+    least _FORK_MIN_PRODUCTS products. The child's doubles come back through a pipe as raw bytes,
+    so the sums are the same bit for bit. If the fork fails the call runs serially, and if the
+    child dies before sending every sum the parent computes the child's half itself."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (n * len(pairs) < _FORK_MIN_PRODUCTS or threading.active_count() != 1
+            or affinity is None or len(affinity(0)) < 2):
+        return _cross_sums(centred, pairs)
+    half = len(pairs) // 2
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return _cross_sums(centred, pairs)
+    if pid == 0:  # the child: send its half and leave, with no stdio flush and no atexit
+        try:
+            os.close(r)  # else a parent that stopped reading would leave this write blocked
+            view = memoryview(_cross_sums(centred, pairs[half:]).tobytes())
+            while view:
+                view = view[os.write(w, view):]
+        finally:
+            os._exit(0)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            sums = _cross_sums(centred, pairs[:half])
+            tail = pipe.read()
+    finally:
+        os.waitpid(pid, 0)
+    if len(tail) == (len(pairs) - half) * sums.itemsize:
+        sums.frombytes(tail)
+    else:  # the child died or was killed
+        sums.extend(_cross_sums(centred, pairs[half:]))
+    return sums
+
+
 def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     """Full symmetric correlation matrix over the raw included criteria."""
     n = len(dataset.names)
@@ -168,29 +237,20 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
         raise InsufficientSamples(f"need at least 3 paired values, got {n}")
     criteria = dataset.schema.included_names()
     centred = [_centre(dataset.column(c), c) for c in criteria]
+    varying = [i for i, (_, _, ss, _) in enumerate(centred) if ss != 0.0]
+    pairs = [(i, j) for k, i in enumerate(varying) for j in varying[k + 1:]]
 
-    grid: list[list[CorrelationCell]] = []
-    for i, a in enumerate(criteria):
-        mean, deviations, ss, k = centred[i]
-        x = (mean, deviations.tolist(), ss, k)  # the one unpacked column, see _centre
-        row: list[CorrelationCell] = []
-        for j, b in enumerate(criteria):
-            if i == j:
-                row.append(CorrelationCell(a, b, 1.0, 0.0, "***"))
-            elif j < i:
-                mirror = grid[j][i]
-                row.append(CorrelationCell(a, b, mirror.rho, mirror.p_value, mirror.stars))
-            else:
-                try:
-                    rho = _rho(x, centred[j])
-                except ConstantColumn:
-                    row.append(CorrelationCell(a, b, math.nan, math.nan, ""))
-                    continue
-                p = two_tailed_p_value(rho, n)
-                row.append(CorrelationCell(a, b, rho, p, significance_stars(p)))
-        grid.append(row)
-        del x  # before the next row unpacks its own column
-    return CorrelationMatrix(criteria, tuple(tuple(r) for r in grid))
+    # (rho, p-value, stars) of each cell; a pair with a constant column stays undefined
+    stats = [[(math.nan, math.nan, "")] * len(criteria) for _ in criteria]
+    for i, row in enumerate(stats):
+        row[i] = (1.0, 0.0, "***")
+    for (i, j), cross in zip(pairs, _pair_sums(centred, pairs, n)):
+        rho = _rho(cross, centred[i][2], centred[j][2])
+        p = two_tailed_p_value(rho, n)
+        stats[i][j] = stats[j][i] = (rho, p, significance_stars(p))
+    return CorrelationMatrix(criteria, tuple(
+        tuple(CorrelationCell(a, b, rho, p, stars) for b, (rho, p, stars) in zip(criteria, row))
+        for a, row in zip(criteria, stats)))
 
 
 def top_correlated_pairs(matrix: CorrelationMatrix, k: int) -> list[CorrelationCell]:

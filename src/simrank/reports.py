@@ -108,13 +108,17 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 40, 40, 60
 def _axis_range(values: Sequence[float], name: str) -> tuple[float, float]:
     """The values' range padded by 5% a side, or unpadded where the padded width would
     overflow; NonFiniteSpread(name) if max - min overflows, since no point would then
-    get a finite coordinate."""
+    get a finite coordinate. A constant axis is padded by 1.0 a side, or, where 1.0 rounds
+    away (beyond 2**53), widened to the next finite double each way, so its width is never 0."""
     lo, hi = min(values), max(values)
     if not math.isfinite(hi - lo):
         raise NonFiniteSpread(name)
     pad = (hi - lo) * 0.05 or 1.0
     if not math.isfinite((hi + pad) - (lo - pad)):
         pad = 0.0
+    if lo - pad == hi + pad:
+        below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        return (lo if math.isinf(below) else below), (hi if math.isinf(above) else above)
     return lo - pad, hi + pad
 
 

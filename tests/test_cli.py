@@ -354,6 +354,21 @@ def test_svg_draws_an_axis_whose_padded_range_overflows(capsys, tmp_path, refere
     assert not NON_FINITE.search(text)
 
 
+@pytest.mark.parametrize("x", ["1e17", "1.7e308", "1.7976931348623157e308", "-1.7976931348623157e308"])
+def test_svg_draws_a_constant_axis_of_any_magnitude(capsys, tmp_path, x):
+    """Beyond 2**53 a constant axis's 1.0 padding rounds away, and near the largest double any
+    padding overflows; the axis still gets a nonzero finite width."""
+    schema = _write(tmp_path / "schema.json",
+                    '[{"name": "X", "direction": "max"}, {"name": "Y", "direction": "max"}]')
+    data = _write(tmp_path / "constant.csv", f"Player,X,Y\na,{x},1\nb,{x},2\nc,{x},4\n")
+    svg = tmp_path / "plot.svg"
+    code, out, err = run(capsys, "scatter", "-x", "X", "-y", "Y", "--svg", str(svg), "--data", data, "--schema", schema)
+    assert (code, out, err) == (0, "", "")
+    text = svg.read_text(encoding="utf-8")
+    assert text.count("<circle ") == 3
+    assert not NON_FINITE.search(text)
+
+
 @pytest.mark.parametrize("argv", [("--trend",), ("--trend", "--svg")], ids=["trend", "trend-svg"])
 def test_non_finite_trend_is_refused(capsys, tmp_path, argv):
     """Both sums of squares are finite, but the fit y = 1e313 * x overflows."""

@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import struct
+import threading
 import tracemalloc
 
 import pytest
 
+import simrank.correlation
 from golden import CORRELATION_TOLERANCE, P_VALUE_RHO_HALF_N29, TOP_CORRELATIONS
 from helpers import build_dataset, transform_column
 from simrank import (
@@ -20,6 +24,19 @@ from simrank import (
     top_correlated_pairs,
     two_tailed_p_value,
 )
+from simrank.cli import cli_main
+
+
+@pytest.fixture(autouse=True)
+def _leaves_no_child_or_descriptor():
+    """correlation_matrix may fork: no test here may leave a child process or a pipe end."""
+    fds = "/proc/self/fd"
+    before = len(os.listdir(fds)) if os.path.isdir(fds) else None
+    yield
+    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+    if before is not None:
+        assert len(os.listdir(fds)) <= before
 
 
 def test_pearson_of_column_with_itself():
@@ -296,3 +313,80 @@ def test_matrix_keeps_centred_columns_packed():
     finally:
         tracemalloc.stop()
     assert peak < 17 * 32 * n / 2
+
+
+def _cell_bytes(m):
+    return b"".join(struct.pack("<dd", c.rho, c.p_value) + c.stars.encode() for row in m.cells for c in row)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A two-CPU machine; the list records each os.fork call made by this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    calls, fork, parent = [], os.fork, os.getpid()
+
+    def counted():
+        if os.getpid() == parent:
+            calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.fixture
+def forks_at_any_size(monkeypatch, forks):
+    monkeypatch.setattr(simrank.correlation, "_FORK_MIN_PRODUCTS", 0)
+    return forks
+
+
+def _serial_matrix(monkeypatch, dataset):
+    """correlation_matrix with os.fork failing, which also runs the fallback to a serial call."""
+    def no_pid():
+        raise OSError("no process ids left")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", no_pid)
+        return correlation_matrix(dataset)
+
+
+def test_forked_matrix_equals_serial_bit_for_bit(monkeypatch, forks_at_any_size):
+    dataset = _random_table(2000, seed=1114)
+    forked = correlation_matrix(dataset)
+    assert forks_at_any_size == [1]
+    assert _cell_bytes(forked) == _cell_bytes(_serial_matrix(monkeypatch, dataset))
+
+
+def test_child_that_dies_before_writing_gives_the_same_matrix(monkeypatch, forks_at_any_size):
+    dataset = _random_table(2000, seed=1115)
+    parent, cross_sums = os.getpid(), simrank.correlation._cross_sums
+
+    def dies_in_child(centred, pairs):
+        if os.getpid() != parent:
+            os._exit(1)
+        return cross_sums(centred, pairs)
+
+    monkeypatch.setattr(simrank.correlation, "_cross_sums", dies_in_child)
+    died = correlation_matrix(dataset)
+    assert forks_at_any_size == [1]
+    assert _cell_bytes(died) == _cell_bytes(_serial_matrix(monkeypatch, dataset))
+
+
+def test_no_fork_while_another_thread_runs(forks_at_any_size):
+    dataset = _random_table(2000, seed=1116)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10.0,))
+    other.start()
+    try:
+        correlation_matrix(dataset)
+    finally:
+        release.set()
+        other.join(timeout=10.0)
+    assert not other.is_alive()
+    assert forks_at_any_size == []
+
+
+def test_cli_corr_on_the_bundled_data_never_forks(capsys, forks):
+    assert cli_main(["corr", "--top", "4"]) == 0
+    assert capsys.readouterr().out.startswith("pair  rho  p_value  stars\n")
+    assert forks == []
