@@ -28,8 +28,8 @@ from array import array
 from typing import NamedTuple, Sequence
 
 from .dataset import Dataset
-from .errors import (ConstantColumn, InsufficientSamples, KOutOfRange, LengthMismatch, NonFiniteSpread,
-                     NonFiniteTrend, UnknownCriterion)
+from .errors import (ConstantColumn, InsufficientSamples, KOutOfRange, LengthMismatch, MissingValue,
+                     NonFiniteSpread, NonFiniteTrend, UnknownCriterion)
 from .special import student_t_two_tailed
 
 
@@ -80,23 +80,27 @@ def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float, int]:
     k is 0 unless an fsum overflows or the sum leaves [2**-500, 2**500]; the column is then
     centred again as x * 2**k, with max |x| * 2**k in [0.5, 1). That is exact, Pearson and the
     least-squares slope are scale-free, and every later sum, root and product stays in range.
-    The mean is unscaled. NonFiniteSpread(name) for a column holding inf or nan. The deviations
-    come back packed, 8 bytes each against a list's 32, as correlation_matrix holds every column
-    at once; _cross_sums unpacks one row's at a time, since iterating a list, unlike an array,
-    boxes no float.
+    The mean is unscaled. NonFiniteSpread(name) for a column holding inf or nan, and
+    MissingValue(name) for one holding a cell that is not a number. The deviations come back
+    packed, 8 bytes each against a list's 32, as correlation_matrix holds every column at once;
+    _cross_sums unpacks one row's at a time, since iterating a list, unlike an array, boxes no
+    float.
     """
-    try:
-        mean, deviations, ss = _moments(xs)
-    except (OverflowError, ValueError):  # a partial overflowed, or inf met -inf
-        ss = math.inf
     k = 0
-    if not 2.0 ** -500 <= ss <= 2.0 ** 500:  # nan included, and 0, which an underflow gives
-        top = max(map(abs, xs))  # max() steps over a nan cell unless it comes first
-        if 0.0 < top < math.inf:  # else all zeros, left as they are, or inf or nan, refused below
-            k = -math.frexp(top)[1]
-            mean, deviations, ss = _moments([math.ldexp(x, k) for x in xs])
-        if not math.isfinite(ss):
-            raise NonFiniteSpread(name)
+    try:  # a None cell, which only a hand-built Dataset holds, raises TypeError in either pass
+        try:
+            mean, deviations, ss = _moments(xs)
+        except (OverflowError, ValueError):  # a partial overflowed, or inf met -inf
+            ss = math.inf
+        if not 2.0 ** -500 <= ss <= 2.0 ** 500:  # nan included, and 0, which an underflow gives
+            top = max(map(abs, xs))  # max() steps over a nan cell unless it comes first
+            if 0.0 < top < math.inf:  # else all zeros, left as they are, or inf or nan, refused below
+                k = -math.frexp(top)[1]
+                mean, deviations, ss = _moments([math.ldexp(x, k) for x in xs])
+    except TypeError:
+        raise MissingValue(name) from None
+    if not math.isfinite(ss):
+        raise NonFiniteSpread(name)
     return math.ldexp(mean, -k), array("d", deviations), ss, k
 
 

@@ -13,15 +13,18 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicatePlayer,
     EmptyDataset,
     MissingColumn,
+    MissingValue,
     NonFiniteColumn,
+    NonFiniteSpread,
     ParseError,
     UnknownCriterion,
     UnknownPlayer,
@@ -52,15 +55,16 @@ class Violation(NamedTuple):
 class Dataset(NamedTuple):
     """Immutable matrix of raw values under a governing schema, stored by column.
 
-    ``names`` holds the players in file order and ``table`` one tuple of raw
-    values per schema criterion the data carries, in schema order; a None cell
-    is a missing value, which ``validate`` reports. ``players`` and ``player()``
-    build PlayerRecords from it.
+    ``names`` holds the players in file order and ``table`` one column of raw
+    values per schema criterion the data carries, in schema order. A loaded table
+    holds each column as an ``array("d")``, 8 bytes a cell. A hand-built one may
+    hold any sequence, and only there can a cell be None: a missing value, which
+    ``validate`` reports. ``players`` and ``player()`` build PlayerRecords from it.
     """
 
     schema: CriteriaSchema
     names: tuple[str, ...]
-    table: dict[str, tuple[float, ...]]
+    table: dict[str, Sequence[float]]
 
     @property
     def players(self) -> tuple[PlayerRecord, ...]:
@@ -81,8 +85,8 @@ class Dataset(NamedTuple):
         """Schema criteria actually carried by the records, in schema order."""
         return tuple(self.table)
 
-    def column(self, name: str) -> tuple[float, ...]:
-        """Raw values of one criterion, in player order."""
+    def column(self, name: str) -> Sequence[float]:
+        """Raw values of one criterion, in player order: the stored column, not a copy."""
         try:
             return self.table[name]
         except KeyError:
@@ -128,7 +132,7 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
     # itemgetter of one index returns the bare cell, not a 1-tuple
     pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
     names: dict[str, None] = {}  # players in file order, as a dict to catch duplicates
-    columns: list[list[float]] = [[] for _ in matched]  # one per matched criterion
+    columns = [array("d") for _ in matched]  # one per matched criterion
     for line, row in enumerate(reader, start=2):
         if not any(map(str.strip, row)):
             continue
@@ -145,14 +149,11 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
         if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise _first_bad_cell(row, line, matched, index)
         names[name] = None
-        any(map(list.append, columns, values))  # append returns None, so any() runs them all
+        any(map(array.append, columns, values))  # append returns None, so any() runs them all
 
     if not names:
         raise EmptyDataset("CSV has no data rows")
-    # one column at a time, so each list is freed as its tuple is built
-    columns.reverse()
-    table = {criterion: tuple(columns.pop()) for criterion in matched}
-    return Dataset(schema, tuple(names), table)
+    return Dataset(schema, tuple(names), dict(zip(matched, columns)))
 
 
 def _first_bad_cell(row: list[str], line: int, matched: list[str], index: list[int]) -> ParseError:
@@ -185,6 +186,20 @@ def load_reference_dataset(schema: CriteriaSchema | None = None) -> Dataset:
     return load_dataset(Path(__file__).with_name("data") / _REFERENCE_CSV, schema)
 
 
+def _extrema(column: Sequence[float], name: str) -> tuple[float, float]:
+    """(min, max) of one raw column; NonFiniteSpread(name) if max - min is not finite,
+    MissingValue(name) if a cell is not a number. The one max - min rule of normalize,
+    validate and the SVG axes."""
+    try:
+        lo, hi = min(column), max(column)
+        spread = hi - lo
+    except TypeError:  # a None cell, which only a hand-built Dataset holds
+        raise MissingValue(name) from None
+    if not math.isfinite(spread):
+        raise NonFiniteSpread(name)
+    return lo, hi
+
+
 def _duplicates(names: Iterable[str]) -> list[str]:
     seen: set[str] = set()
     dupes: list[str] = []
@@ -203,7 +218,6 @@ def validate(dataset: Dataset) -> list[Violation]:
     if len(names) < 2:
         violations.append(Violation("TooFewPlayers", f"{len(names)} player(s)",
                                     "min-max scaling needs at least 2 players"))
-    from .normalization import _extrema  # normalization imports this module, so not at the top
 
     for c in dataset.schema.included_names():
         finite = []

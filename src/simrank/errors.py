@@ -81,6 +81,15 @@ class ConstantColumn(SimrankError):
         self.name = name
 
 
+class MissingValue(SimrankError):
+    """A column holds a cell that is not a number, such as None, the missing value that only
+    a hand-built Dataset can hold; ``load_dataset`` never makes one."""
+
+    def __init__(self, name: str):
+        super().__init__(f"column {name!r}: missing or non-numeric value")
+        self.name = name
+
+
 class NonFiniteColumn(SimrankError):
     """A statistic of a whole column overflows a double; ``detail`` says which."""
 

@@ -13,13 +13,11 @@ round only for display.
 
 from __future__ import annotations
 
-import math
 import warnings
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .dataset import Dataset
-from .errors import (DegenerateColumnWarning, InsufficientSamples, NonFiniteSpread, UnknownCriterion,
-                     UnknownPlayer)
+from .dataset import Dataset, _extrema
+from .errors import DegenerateColumnWarning, InsufficientSamples, UnknownCriterion, UnknownPlayer
 from .schema import Direction
 
 
@@ -43,14 +41,6 @@ class NormalizedMatrix(NamedTuple):
             return self.row(player)[self.criteria.index(criterion)]
         except ValueError:
             raise UnknownCriterion(criterion) from None
-
-
-def _extrema(column: Sequence[float], name: str) -> tuple[float, float]:
-    """(min, max) of one raw column; NonFiniteSpread(name) if max - min is not finite."""
-    lo, hi = min(column), max(column)
-    if not math.isfinite(hi - lo):
-        raise NonFiniteSpread(name)
-    return lo, hi
 
 
 def normalize(dataset: Dataset) -> NormalizedMatrix:

@@ -16,11 +16,11 @@ import math
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
-from .errors import EmptySeries, NonFiniteSpread
+from .dataset import Dataset, _extrema
+from .errors import EmptySeries
 
 if TYPE_CHECKING:  # annotations only: rank need not load correlation, nor corr ranking
     from .correlation import CorrelationCell, CorrelationMatrix
-    from .dataset import Dataset
     from .normalization import NormalizedMatrix
     from .ranking import SimilarityRanking
 
@@ -108,11 +108,10 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 70, 40, 40, 60
 def _axis_range(values: Sequence[float], name: str) -> tuple[float, float]:
     """The values' range padded by 5% a side, or unpadded where the padded width would
     overflow; NonFiniteSpread(name) if max - min overflows, since no point would then
-    get a finite coordinate. A constant axis is padded by 1.0 a side, or, where 1.0 rounds
-    away (beyond 2**53), widened to the next finite double each way, so its width is never 0."""
-    lo, hi = min(values), max(values)
-    if not math.isfinite(hi - lo):
-        raise NonFiniteSpread(name)
+    get a finite coordinate, and MissingValue(name) if a value is not a number. A constant
+    axis is padded by 1.0 a side, or, where 1.0 rounds away (beyond 2**53), widened to the
+    next finite double each way, so its width is never 0."""
+    lo, hi = _extrema(values, name)
     pad = (hi - lo) * 0.05 or 1.0
     if not math.isfinite((hi + pad) - (lo - pad)):
         pad = 0.0

@@ -13,7 +13,9 @@ quickly for x < (a+1)/(a+b+2); outside that region the symmetry
 I_x(a, b) = 1 - I_{1-x}(b, a) is applied first.
 
 The t distribution with df degrees of freedom then follows from
-P(|T| > t) = I_x(df/2, 1/2) with x = df/(df + t^2).
+P(|T| > t) = I_x(df/2, 1/2) with x = df/(df + t^2). There 1 - x is formed as
+t^2/(df + t^2), not by subtraction, since x rounds towards 1 for small t and
+1 - x would lose most of its digits.
 """
 
 from __future__ import annotations
@@ -66,24 +68,35 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise ValueError("a and b must be positive")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
+    return _incomplete_beta(a, b, x, 1.0 - x)
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) given y = 1 - x, each to full precision: the logarithms and the symmetric
+    branch read the smaller of the two, so neither is taken from the other's rounding."""
     if x == 0.0:
         return 0.0
-    if x == 1.0:
+    if y == 0.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    if x < 0.5:
+        log_x, log_y = math.log(x), math.log1p(-x)
+    else:
+        log_x, log_y = math.log1p(-y), math.log(y)
+    front = math.exp(a * log_x + b * log_y - log_beta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
 
 
 def student_t_two_tailed(t: float, df: float) -> float:
     """P(|T| >= |t|) for a Student-t variable with df degrees of freedom."""
     if df <= 0.0:
         raise ValueError("degrees of freedom must be positive")
-    if t == 0.0:
-        return 1.0
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(df / 2.0, 0.5, x)
+    if math.isnan(t):
+        raise ValueError("t must be a number, got nan")
+    t2 = t * t
+    s = df + t2
+    return _incomplete_beta(df / 2.0, 0.5, df / s, t2 / s)
 
 
 def student_t_cdf(t: float, df: float) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Iterable, Sequence
 
 from simrank import (
@@ -19,7 +20,8 @@ def build_dataset(
     minimize: Iterable[str] = (),
     excluded: Iterable[str] = (),
 ) -> Dataset:
-    """Assemble a small synthetic Dataset from per-criterion value lists."""
+    """Assemble a small synthetic Dataset from per-criterion value lists, each stored as an
+    ``array("d")`` the way load_dataset stores it, so the two compare equal."""
     minimize = set(minimize)
     excluded = set(excluded)
     schema = CriteriaSchema(
@@ -32,18 +34,19 @@ def build_dataset(
             for name in columns
         )
     )
-    table = {name: tuple(map(float, values)) for name, values in columns.items()}
+    table = {name: array("d", map(float, values)) for name, values in columns.items()}
     return Dataset(schema, tuple(players), table)
 
 
 def transform_column(dataset: Dataset, criterion: str, a: float, b: float) -> Dataset:
     """Copy of ``dataset`` with one raw column mapped to a*x + b."""
-    column = tuple(a * v + b for v in dataset.table[criterion])
+    column = array("d", (a * v + b for v in dataset.table[criterion]))
     return dataset._replace(table={**dataset.table, criterion: column})
 
 
-def replace_value(dataset: Dataset, player: str, criterion: str, value: float) -> Dataset:
-    """Copy of ``dataset`` with a single cell overwritten."""
+def replace_value(dataset: Dataset, player: str, criterion: str, value: float | None) -> Dataset:
+    """Copy of ``dataset`` with a single cell overwritten; the column becomes a tuple, so the
+    cell may be None, a missing value."""
     column = list(dataset.table[criterion])
     column[dataset.names.index(player)] = value
     return dataset._replace(table={**dataset.table, criterion: tuple(column)})

@@ -4,6 +4,7 @@ import math
 import random
 import struct
 import tracemalloc
+from array import array
 from importlib import resources
 
 import pytest
@@ -17,13 +18,18 @@ from simrank import (
     DuplicatePlayer,
     EmptyDataset,
     MissingColumn,
+    MissingValue,
     ParseError,
     PlayerRecord,
     UnknownCriterion,
     UnknownPlayer,
+    correlation_matrix,
     dataset_to_csv,
     load_dataset,
+    normalize,
     reference_schema,
+    render_scatter_svg,
+    scatter_data,
     validate,
 )
 
@@ -232,6 +238,30 @@ def test_validate_lists_cell_and_column_violations_in_order():
     ]
 
 
+@pytest.mark.parametrize("compute", [
+    normalize,
+    correlation_matrix,
+    lambda ds: scatter_data(ds, "SpG", "KeyP", True),
+    lambda ds: scatter_data(ds, "KeyP", "SpG", True),
+    lambda ds: render_scatter_svg(scatter_data(ds, "SpG", "KeyP")),
+    lambda ds: render_scatter_svg(scatter_data(ds, "KeyP", "SpG")),
+], ids=["normalize", "correlation_matrix", "trend-x", "trend-y", "svg-x", "svg-y"])
+def test_a_missing_cell_is_refused_by_every_computation(reference_dataset, compute):
+    broken = replace_value(reference_dataset, "Kane", "SpG", None)
+    with pytest.raises(MissingValue) as exc:
+        compute(broken)
+    assert exc.value.name == "SpG"
+    assert str(exc.value) == "column 'SpG': missing or non-numeric value"
+
+
+def test_a_missing_cell_after_an_overflowing_sum_is_refused():
+    """The first fsum of _centre overflows before it reads the None cell; the rescale pass meets it."""
+    ok = [0.0, 1.0, 3.0]
+    dataset = build_dataset("abc", {"X": ok, "Y": ok})._replace(table={"X": [1e308, 1e308, None], "Y": ok})
+    for compute in (correlation_matrix, lambda ds: scatter_data(ds, "X", "Y", True)):
+        with pytest.raises(MissingValue, match="'X'"):
+            compute(dataset)
+
 
 _XY = CriteriaSchema((CriterionSpec("X", Direction.MAXIMIZE), CriterionSpec("Y", Direction.MAXIMIZE)))
 
@@ -266,7 +296,7 @@ def test_load_error_contract(text, error, row, column, message):
 
 def test_finite_cells_whose_row_sum_overflows_are_accepted():
     dataset = load_dataset(io.StringIO("Player,X,Y\na,1e308,1e308\nb,0,-1e308\n"), _XY)
-    assert dataset.table == {"X": (1e308, 0.0), "Y": (1e308, -1e308)}
+    assert dataset.table == {"X": array("d", [1e308, 0.0]), "Y": array("d", [1e308, -1e308])}
 
 
 def test_players_view_matches_the_csv_records(reference_dataset):
@@ -276,7 +306,7 @@ def test_players_view_matches_the_csv_records(reference_dataset):
     names = reference_schema().names()
     records = tuple(PlayerRecord(r["Player"], {c: float(r[c]) for c in names}) for r in rows)
     built = Dataset(reference_schema(), tuple(r["Player"] for r in rows),
-                    {c: tuple(float(r[c]) for r in rows) for c in names})
+                    {c: array("d", (float(r[c]) for r in rows)) for c in names})
     assert reference_dataset.players == records
     assert type(reference_dataset.players[0].values) is dict
     assert reference_dataset.player("Neymar") == records[[r.name for r in records].index("Neymar")]
@@ -299,9 +329,16 @@ def test_round_trip_is_bit_exact_at_scale():
             [struct.pack("d", v) for v in values], c
 
 
+def test_loaded_columns_are_packed_doubles(reference_dataset):
+    assert all(type(column) is array and column.typecode == "d"
+               for column in reference_dataset.table.values())
+    assert reference_dataset.column("SpG") is reference_dataset.table["SpG"]
+
+
 def test_load_holds_the_table_about_once():
-    # the table keeps a float and a tuple slot per cell; holding every row as a tuple
-    # until the columns are built would add a second 8-byte slot per cell
+    # the table keeps one 8-byte double per cell, where a tuple of floats kept about 32, so the
+    # names and the arrays' spare room put the whole load near 16 bytes a cell; holding every
+    # row as a tuple until the columns are built would add at least 8 transient bytes per cell
     n, k = 5000, 17
     rng = random.Random(11)
     dataset = build_dataset([f"p{i}" for i in range(n)],
@@ -314,4 +351,5 @@ def test_load_holds_the_table_about_once():
     finally:
         tracemalloc.stop()
     assert loaded == dataset
+    assert retained / (n * k) < 20
     assert (peak - retained) / (n * k) < 4

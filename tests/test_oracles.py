@@ -1,10 +1,10 @@
-"""Pearson and the least-squares fit against scipy, an independent implementation; skipped
-where scipy is not installed, which simrank itself never needs."""
+"""Pearson, the least-squares fit and the t tail against scipy, an independent implementation;
+skipped where scipy is not installed, which simrank itself never needs."""
 
 import pytest
 
 from helpers import transform_column
-from simrank import correlation_matrix, least_squares_line
+from simrank import correlation_matrix, least_squares_line, student_t_two_tailed
 
 stats = pytest.importorskip("scipy.stats")
 
@@ -31,3 +31,12 @@ def test_rho_and_fit_of_a_scaled_column_match_scipy(reference_dataset, f):
     slope, intercept = least_squares_line(xs, ys)
     assert slope == pytest.approx(fit.slope / f, rel=REL, abs=0.0)
     assert intercept == pytest.approx(fit.intercept, rel=REL, abs=0.0)
+
+
+@pytest.mark.parametrize("df, rel", [(27, 1e-12), (998, 1e-12), (9998, 1e-10)])
+def test_two_tailed_p_matches_t_sf_up_to_one(df, rel):
+    # 2000 log-spaced |t| from 1e-10 to 10: near 0, where p is near 1 and x = df/(df + t^2)
+    # rounds towards 1, 1 - x must not be formed by subtraction
+    ts = [10.0 ** (-10.0 + 11.0 * i / 1999) for i in range(2000)]
+    for t, want in zip(ts, 2.0 * stats.t.sf(ts, df)):
+        assert student_t_two_tailed(t, df) == pytest.approx(want, rel=rel, abs=0.0), t
