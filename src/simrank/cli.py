@@ -164,7 +164,11 @@ def _cmd_dump_normalized(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .dataset import validate
 
-    violations = validate(_load(args))
+    dataset = _load(args)
+    violations = validate(dataset)
+    if not violations:  # a sound table scales, and warns of each constant column as rank does
+        from .normalization import normalize
+        normalize(dataset)
     print("\n".join(map(str, violations)) or "ok")
     return 2 if violations else 0
 

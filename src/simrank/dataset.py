@@ -27,7 +27,6 @@ from .errors import (
     NonFiniteSpread,
     ParseError,
     UnknownCriterion,
-    UnknownPlayer,
 )
 from .schema import CriteriaSchema, Source, _text_stream, reference_schema
 
@@ -59,7 +58,9 @@ class Dataset(NamedTuple):
     values per schema criterion the data carries, in schema order. A loaded table
     holds each column as an ``array("d")``, 8 bytes a cell. A hand-built one may
     hold any sequence, and only there can a cell be None: a missing value, which
-    ``validate`` reports. ``players`` and ``player()`` build PlayerRecords from it.
+    ``validate`` reports. Read a player's value as ``column(c)[names.index(p)]``;
+    ``perfbench/spans.py::_loaded`` counts each load through ``players`` until
+    ROADMAP direction 1 lands.
     """
 
     schema: CriteriaSchema
@@ -68,22 +69,11 @@ class Dataset(NamedTuple):
 
     @property
     def players(self) -> tuple[PlayerRecord, ...]:
-        """Every player as a PlayerRecord, built on each access."""
-        return tuple(map(self._record, range(len(self.names))))
-
-    def _record(self, i: int) -> PlayerRecord:
-        return PlayerRecord(self.names[i], {c: column[i] for c, column in self.table.items()
-                                            if column[i] is not None})
-
-    def player(self, name: str) -> PlayerRecord:
-        try:
-            return self._record(self.names.index(name))
-        except ValueError:
-            raise UnknownPlayer(name) from None
-
-    def columns(self) -> tuple[str, ...]:
-        """Schema criteria actually carried by the records, in schema order."""
-        return tuple(self.table)
+        """Every player as a PlayerRecord, rebuilt on each access, a None cell left out;
+        ``perfbench/spans.py::_loaded`` counts each load through it until direction 1 lands."""
+        return tuple(PlayerRecord(name, {c: column[i] for c, column in self.table.items()
+                                         if column[i] is not None})
+                     for i, name in enumerate(self.names))
 
     def column(self, name: str) -> Sequence[float]:
         """Raw values of one criterion, in player order: the stored column, not a copy."""

@@ -73,11 +73,11 @@ class LengthMismatch(SimrankError):
 
 
 class ConstantColumn(SimrankError):
-    """A column is constant, so its correlation is undefined."""
+    """A column is constant: a correlation with it, or a least-squares fit against it, is undefined."""
 
     def __init__(self, name: str = ""):
         label = f" {name!r}" if name else ""
-        super().__init__(f"constant column{label}: correlation undefined")
+        super().__init__(f"constant column{label}: zero variance")
         self.name = name
 
 

@@ -32,13 +32,18 @@ EUCLIDEAN = MetricChoice(2.0)
 
 def minkowski_distance(a: Sequence[float], b: Sequence[float],
                        metric: MetricChoice = MANHATTAN) -> float:
-    """(sum |a_k - b_k|^p)^(1/p); nonnegative and symmetric."""
+    """(sum |a_k - b_k|^p)^(1/p); nonnegative, symmetric, and positive for a != b: a sum that
+    underflows is taken again over the differences divided by the largest."""
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
     p = metric.p
     if p == 1.0:  # the same bits as below, since x ** 1.0 == x, from a C-level pipeline
         return math.fsum(map(abs, map(operator.sub, a, b)))
     total = math.fsum(abs(x - y) ** p for x, y in zip(a, b))
+    if total < 2.0 ** -1022:  # a == b, or the powers underflowed to 0 or a subnormal sum
+        top = max(map(abs, map(operator.sub, a, b)), default=0.0)
+        if top:  # divided by the largest difference, the largest term is 1
+            return top * math.fsum((abs(x - y) / top) ** p for x, y in zip(a, b)) ** (1.0 / p)
     return total ** (1.0 / p)
 
 

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import struct
 from array import array
 from typing import Iterable, Sequence
 
+import pytest
+
 from simrank import (
+    CorrelationMatrix,
     CriteriaSchema,
     CriterionSpec,
     Dataset,
@@ -50,6 +56,23 @@ def replace_value(dataset: Dataset, player: str, criterion: str, value: float | 
     column = list(dataset.table[criterion])
     column[dataset.names.index(player)] = value
     return dataset._replace(table={**dataset.table, criterion: tuple(column)})
+
+
+def cell_bytes(matrix: CorrelationMatrix) -> bytes:
+    """Every cell's rho, p-value and stars as bytes, so two matrices compare bit for bit."""
+    return b"".join(struct.pack("<dd", c.rho, c.p_value) + c.stars.encode() for row in matrix.cells for c in row)
+
+
+@contextlib.contextmanager
+def leaves_no_child_or_descriptor():
+    """Fails if the block leaves a child process, running or unreaped, or an open descriptor."""
+    fds = "/proc/self/fd"
+    before = len(os.listdir(fds)) if os.path.isdir(fds) else None
+    yield
+    with pytest.raises(ChildProcessError):  # no child at all
+        os.waitpid(-1, os.WNOHANG)
+    if before is not None:
+        assert len(os.listdir(fds)) <= before
 
 
 # -- independent Student-t oracle ------------------------------------------

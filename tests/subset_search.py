@@ -16,7 +16,7 @@ from simrank import Dataset, Direction
 
 
 def _scaled_column(dataset: Dataset, criterion: str) -> dict[str, float]:
-    values = {p.name: p.values[criterion] for p in dataset.players}
+    values = dict(zip(dataset.names, dataset.column(criterion)))
     lo, hi = min(values.values()), max(values.values())
     spread = hi - lo
     if spread == 0.0:

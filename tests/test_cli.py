@@ -281,6 +281,24 @@ def test_constant_column_warning_is_one_line(capsys, tmp_path):
         assert err == "simrank: warning: column 'B' is constant; scaled to 0 for all players\n"
 
 
+def _constant_keyp_csv(tmp_path, dataset):
+    return _write(tmp_path / "const.csv", dataset_to_csv(transform_column(dataset, "KeyP", 0.0, 1.5)))
+
+
+def test_trend_against_a_constant_x_is_refused(capsys, tmp_path, reference_dataset):
+    """The fit is undefined, so the error names the column and its zero variance."""
+    data = _constant_keyp_csv(tmp_path, reference_dataset)
+    code, out, err = run(capsys, "scatter", "-x", "KeyP", "-y", "AvPasses", "--trend", "--data", data)
+    assert (code, out, err) == (2, "", "simrank: error: constant column 'KeyP': zero variance\n")
+
+
+def test_validate_warns_of_a_constant_column_as_rank_does(capsys, tmp_path, reference_dataset):
+    data = _constant_keyp_csv(tmp_path, reference_dataset)
+    warning = "simrank: warning: column 'KeyP' is constant; scaled to 0 for all players\n"
+    assert run(capsys, "validate", "--data", data) == (0, "ok\n", warning)
+    assert run(capsys, "rank", "--target", "Messi", "--data", data)[::2] == (0, warning)
+
+
 @pytest.mark.parametrize("option, text", [("--data", "Player,SpG\nMüller,1\n"),
                                           ("--schema", '[{"name": "Müller", "direction": "max"}]'),
                                           ("--schema", '[{"name": ')],

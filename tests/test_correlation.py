@@ -1,7 +1,6 @@
 import math
 import os
 import random
-import struct
 import threading
 import tracemalloc
 
@@ -9,7 +8,7 @@ import pytest
 
 import simrank.correlation
 from golden import CORRELATION_TOLERANCE, P_VALUE_RHO_HALF_N29, TOP_CORRELATIONS
-from helpers import build_dataset, transform_column
+from helpers import build_dataset, cell_bytes, leaves_no_child_or_descriptor, transform_column
 from simrank import (
     ConstantColumn,
     InsufficientSamples,
@@ -30,13 +29,8 @@ from simrank.cli import cli_main
 @pytest.fixture(autouse=True)
 def _leaves_no_child_or_descriptor():
     """correlation_matrix may fork: no test here may leave a child process or a pipe end."""
-    fds = "/proc/self/fd"
-    before = len(os.listdir(fds)) if os.path.isdir(fds) else None
-    yield
-    with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
-        os.waitpid(-1, os.WNOHANG)
-    if before is not None:
-        assert len(os.listdir(fds)) <= before
+    with leaves_no_child_or_descriptor():
+        yield
 
 
 def test_pearson_of_column_with_itself():
@@ -60,8 +54,9 @@ def test_pearson_errors():
         pearson([1.0, 2.0, 3.0], [1.0, 2.0])
     with pytest.raises(InsufficientSamples):
         pearson([1.0, 2.0], [1.0, 2.0])
-    with pytest.raises(ConstantColumn):
+    with pytest.raises(ConstantColumn) as exc:
         pearson([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+    assert str(exc.value) == "constant column: zero variance"
     with pytest.raises(NonFiniteSpread, match="column 'x'"):  # fsum(xs) raises ValueError
         pearson([math.inf, -math.inf, 1.0], [1.0, 2.0, 3.0])
 
@@ -315,10 +310,6 @@ def test_matrix_keeps_centred_columns_packed():
     assert peak < 17 * 32 * n / 2
 
 
-def _cell_bytes(m):
-    return b"".join(struct.pack("<dd", c.rho, c.p_value) + c.stars.encode() for row in m.cells for c in row)
-
-
 @pytest.fixture
 def forks(monkeypatch):
     """A two-CPU machine; the list records each os.fork call made by this process."""
@@ -354,7 +345,7 @@ def test_forked_matrix_equals_serial_bit_for_bit(monkeypatch, forks_at_any_size)
     dataset = _random_table(2000, seed=1114)
     forked = correlation_matrix(dataset)
     assert forks_at_any_size == [1]
-    assert _cell_bytes(forked) == _cell_bytes(_serial_matrix(monkeypatch, dataset))
+    assert cell_bytes(forked) == cell_bytes(_serial_matrix(monkeypatch, dataset))
 
 
 def test_child_that_dies_before_writing_gives_the_same_matrix(monkeypatch, forks_at_any_size):
@@ -369,7 +360,7 @@ def test_child_that_dies_before_writing_gives_the_same_matrix(monkeypatch, forks
     monkeypatch.setattr(simrank.correlation, "_cross_sums", dies_in_child)
     died = correlation_matrix(dataset)
     assert forks_at_any_size == [1]
-    assert _cell_bytes(died) == _cell_bytes(_serial_matrix(monkeypatch, dataset))
+    assert cell_bytes(died) == cell_bytes(_serial_matrix(monkeypatch, dataset))
 
 
 def test_no_fork_while_another_thread_runs(forks_at_any_size):

@@ -22,7 +22,6 @@ from simrank import (
     ParseError,
     PlayerRecord,
     UnknownCriterion,
-    UnknownPlayer,
     correlation_matrix,
     dataset_to_csv,
     load_dataset,
@@ -43,16 +42,16 @@ def _load_text(text: str) -> Dataset:
 
 
 def test_reference_dataset_shape(reference_dataset):
-    assert len(reference_dataset.players) == 29
-    assert reference_dataset.players[0].name == "Messi"
-    assert reference_dataset.columns() == reference_schema().names()
+    assert len(reference_dataset.names) == 29
+    assert reference_dataset.names[0] == "Messi"
+    assert tuple(reference_dataset.table) == reference_schema().names()
 
 
 def test_reference_values_spot_check(reference_dataset):
-    messi = reference_dataset.player("Messi")
-    assert messi.values["Goals pg"] == 0.95
-    assert messi.values["AvPasses"] == 55.9
-    assert reference_dataset.player("Neymar").values["As pg"] == 0.69
+    messi, neymar = reference_dataset.names.index("Messi"), reference_dataset.names.index("Neymar")
+    assert reference_dataset.column("Goals pg")[messi] == 0.95
+    assert reference_dataset.column("AvPasses")[messi] == 55.9
+    assert reference_dataset.column("As pg")[neymar] == 0.69
 
 
 def test_round_trip_is_bit_exact(reference_dataset):
@@ -92,8 +91,8 @@ def test_missing_excluded_column_is_fine():
     for row in rows:
         writer.writerow([cell for i, cell in enumerate(row) if i != drop])
     dataset = _load_text(out.getvalue())
-    assert "Games" not in dataset.columns()
-    assert len(dataset.columns()) == 19
+    assert "Games" not in dataset.table
+    assert len(dataset.table) == 19
 
 
 def test_header_only_is_empty():
@@ -137,7 +136,7 @@ def test_duplicate_player_rejected():
 
 def test_header_whitespace_is_trimmed():
     text = _reference_text().replace("Player,Games", "  Player ,  Games ", 1)
-    assert _load_text(text).columns() == reference_schema().names()
+    assert tuple(_load_text(text).table) == reference_schema().names()
 
 
 def test_unknown_csv_columns_are_ignored():
@@ -148,7 +147,7 @@ def test_unknown_csv_columns_are_ignored():
     for row in rows[1:]:
         writer.writerow(row + ["not-a-number"])
     dataset = _load_text(out.getvalue())
-    assert "Rating" not in dataset.columns()
+    assert "Rating" not in dataset.table
 
 
 def test_bytes_stream_accepted(reference_dataset):
@@ -165,11 +164,6 @@ def test_bytes_stream_is_left_open():
     stream = io.BytesIO(_reference_text().encode("utf-8"))
     load_dataset(stream, reference_schema())
     assert not stream.closed
-
-
-def test_unknown_player_lookup(reference_dataset):
-    with pytest.raises(UnknownPlayer):
-        reference_dataset.player("Nobody")
 
 
 def test_unknown_column_lookup(reference_dataset):
@@ -300,7 +294,7 @@ def test_finite_cells_whose_row_sum_overflows_are_accepted():
 
 
 def test_players_view_matches_the_csv_records(reference_dataset):
-    """What tests and the benchmark's tracer read: a players view of dicts, one per CSV row,
+    """What the benchmark's tracer reads: a players view of dicts, one per CSV row,
     over a table equal to one built from the CSV's columns."""
     rows = list(csv.DictReader(io.StringIO(_reference_text())))
     names = reference_schema().names()
@@ -309,7 +303,6 @@ def test_players_view_matches_the_csv_records(reference_dataset):
                     {c: array("d", (float(r[c]) for r in rows)) for c in names})
     assert reference_dataset.players == records
     assert type(reference_dataset.players[0].values) is dict
-    assert reference_dataset.player("Neymar") == records[[r.name for r in records].index("Neymar")]
     assert built == reference_dataset
 
 

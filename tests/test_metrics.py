@@ -42,6 +42,13 @@ def test_hand_computed_manhattan():
     assert minkowski_distance(a, b, MANHATTAN) == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("p", [2.0, 3.0, 8.0])
+def test_differences_whose_powers_underflow_keep_their_distance(p):
+    a, b = (0.0, 0.0, 0.5), (1e-200, -1e-200, 0.5)  # 1e-200 ** p underflows to 0
+    want = 2.0 ** (1.0 / p) * 1e-200
+    assert minkowski_distance(a, b, MetricChoice(p)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         manhattan_distance((1.0, 2.0), (1.0,))
