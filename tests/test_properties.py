@@ -139,14 +139,10 @@ def test_shuffled_player_order_gives_the_same_ranking(table, p):
         ranked = [rank_by_similarity(normalize(d), names[target], MetricChoice(p))
                   for d in (build_dataset(names, criteria, down), shuffled)]
     assert ranked[0] == ranked[1]
-    assert _bits([[e.distance for e in ranked[0].entries]]) == _bits([[e.distance for e in ranked[1].entries]])
-
-
-UNIT = st.floats(0.0, 1.0)
 
 
 @settings(database=None, derandomize=True)
-@given(st.integers(1, 17).flatmap(lambda k: st.lists(st.lists(UNIT, min_size=k, max_size=k),
+@given(st.integers(1, 17).flatmap(lambda k: st.lists(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k),
                                                      min_size=3, max_size=3)),
        st.floats(1.0, 8.0))
 @example([[0.0], [1e-50], [2e-50]], 8.0)  # each |x_k - y_k| ** p underflows to 0
