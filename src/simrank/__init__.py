@@ -17,14 +17,14 @@ _EXPORTS = {  # module -> the public names it defines
     "correlation": "CorrelationCell CorrelationMatrix correlation_matrix least_squares_line pearson "
                    "significance_stars top_correlated_pairs two_tailed_p_value",
     "dataset": "Dataset PlayerRecord Violation dataset_to_csv load_dataset load_reference_dataset validate",
-    "errors": "ConstantColumn DegenerateColumnWarning DimensionMismatch DuplicatePlayer EmptyDataset "
+    "errors": "ConstantColumn DimensionMismatch DuplicatePlayer EmptyDataset "
               "EmptySeries InsufficientSamples KOutOfRange LengthMismatch MissingColumn MissingValue "
               "NonFiniteColumn NonFiniteSpread NonFiniteTrend ParseError SimrankError UnknownCriterion "
               "UnknownPlayer",
     "metrics": "EUCLIDEAN MANHATTAN MetricChoice distance_to_target manhattan_distance minkowski_distance",
     "normalization": "NormalizedMatrix normalize",
     "ranking": "RankingEntry SimilarityRanking nearest_k rank_by_similarity",
-    "reports": "ScatterSeries emit_ranking emit_scatter emit_scatter_svg normalized_to_csv "
+    "reports": "ScatterSeries emit_ranking emit_scatter normalized_to_csv "
                "render_scatter_svg scatter_data",
     "schema": "CriteriaSchema CriterionSpec Direction reference_schema schema_from_json schema_to_json",
     "special": "regularized_incomplete_beta student_t_cdf student_t_two_tailed",

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import DegenerateColumnWarning, SimrankError
+from .errors import SimrankError
 
 if TYPE_CHECKING:
     from .dataset import Dataset
     from .metrics import MetricChoice
+    from .normalization import NormalizedMatrix
 
 # Each subcommand imports the modules it uses inside its _cmd_* function, so a
 # cold call compiles and runs only those; `rank` never loads correlation.
@@ -105,24 +105,33 @@ def _metric(args: argparse.Namespace) -> MetricChoice:
     return {"p1": MANHATTAN, "p2": EUCLIDEAN}[args.metric]
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _normalize(dataset: Dataset) -> NormalizedMatrix:
+    """``normalize(dataset)``, then one warning line on stderr for each constant column it
+    scaled to 0; a refused table raises first, so it prints its error alone."""
     from .normalization import normalize
+
+    matrix = normalize(dataset)
+    for name in matrix.degenerate:
+        print(f"simrank: warning: column {name!r} is constant; scaled to 0 for all players", file=sys.stderr)
+    return matrix
+
+
+def _cmd_rank(args: argparse.Namespace) -> int:
     from .ranking import rank_by_similarity
     from .reports import emit_ranking
 
-    matrix = normalize(_load(args))
+    matrix = _normalize(_load(args))
     ranking = rank_by_similarity(matrix, args.target, _metric(args))
     sys.stdout.write(emit_ranking(ranking, args.format))
     return 0
 
 
 def _cmd_nearest(args: argparse.Namespace) -> int:
-    from .normalization import normalize
     from .ranking import SimilarityRanking, nearest_k
     from .reports import emit_ranking
 
     metric = _metric(args)
-    matrix = normalize(_load(args))
+    matrix = _normalize(_load(args))
     entries = nearest_k(matrix, args.target, args.k, metric)
     ranking = SimilarityRanking(args.target, metric, tuple(entries))
     sys.stdout.write(emit_ranking(ranking, args.format))
@@ -143,21 +152,22 @@ def _cmd_corr(args: argparse.Namespace) -> int:
 
 
 def _cmd_scatter(args: argparse.Namespace) -> int:
-    from .reports import emit_scatter, emit_scatter_svg, scatter_data
+    from pathlib import Path
+
+    from .reports import emit_scatter, render_scatter_svg, scatter_data
 
     series = scatter_data(_load(args), args.x, args.y, with_trend=args.trend)
-    if args.svg:
-        emit_scatter_svg(series, args.svg)
+    if args.svg:  # rendered before the file opens, so a refused series writes no file
+        Path(args.svg).write_text(render_scatter_svg(series), encoding="utf-8")
     else:
         sys.stdout.write(emit_scatter(series, args.format))
     return 0
 
 
 def _cmd_dump_normalized(args: argparse.Namespace) -> int:
-    from .normalization import normalize
     from .reports import normalized_to_csv
 
-    sys.stdout.write(normalized_to_csv(normalize(_load(args))))
+    sys.stdout.write(normalized_to_csv(_normalize(_load(args))))
     return 0
 
 
@@ -167,14 +177,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     dataset = _load(args)
     violations = validate(dataset)
     if not violations:  # a sound table scales, and warns of each constant column as rank does
-        from .normalization import normalize
-        normalize(dataset)
+        _normalize(dataset)
     print("\n".join(map(str, violations)) or "ok")
     return 2 if violations else 0
-
-
-def _print_warning(message, *_) -> None:
-    print(f"simrank: warning: {message}", file=sys.stderr)
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -183,14 +188,11 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed a usage error (code 2) or --help (code 0)
         return 1 if exc.code else 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", DegenerateColumnWarning)  # whatever -W says
-        warnings.showwarning = _print_warning
-        try:
-            return args.func(args)
-        except (SimrankError, OSError, ValueError) as exc:  # bad files and data, not usage
-            print(f"simrank: error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        return args.func(args)
+    except (SimrankError, OSError, ValueError) as exc:  # bad files and data, not usage
+        print(f"simrank: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

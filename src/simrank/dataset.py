@@ -177,12 +177,14 @@ def load_reference_dataset(schema: CriteriaSchema | None = None) -> Dataset:
 
 
 def _extrema(column: Sequence[float], name: str) -> tuple[float, float]:
-    """(min, max) of one raw column; NonFiniteSpread(name) if max - min is not finite,
-    MissingValue(name) if a cell is not a number. The one max - min rule of normalize,
-    validate and the SVG axes."""
+    """(min, max) of one raw column; NonFiniteSpread(name) if max - min is not finite or a
+    cell is nan, MissingValue(name) if a cell is None or not numeric. The one max - min rule
+    of normalize, validate and the SVG axes."""
     try:
         lo, hi = min(column), max(column)
         spread = hi - lo
+        if math.isnan(sum(column)):  # a nan cell, which min and max step over unless it comes first
+            spread = math.nan
     except TypeError:  # a None cell, which only a hand-built Dataset holds
         raise MissingValue(name) from None
     if not math.isfinite(spread):

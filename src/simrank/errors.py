@@ -6,9 +6,16 @@ any of them to a single "data error" exit code.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class SimrankError(Exception):
     """Base class for all data and query errors."""
+
+    def __reduce__(self):
+        """Rebuilt from ``args`` and the instance fields without calling ``__init__``, whose
+        parameters are not ``args``, so every subclass copies and pickles as it is."""
+        return copyreg.__newobj__, (type(self), *self.args), vars(self)
 
 
 class MissingColumn(SimrankError):
@@ -118,7 +125,3 @@ class InsufficientSamples(SimrankError):
 
 class EmptySeries(SimrankError):
     """A scatter series without points cannot be rendered."""
-
-
-class DegenerateColumnWarning(UserWarning):
-    """A criterion column is constant; all its scaled values are set to 0."""

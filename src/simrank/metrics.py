@@ -33,16 +33,23 @@ EUCLIDEAN = MetricChoice(2.0)
 def minkowski_distance(a: Sequence[float], b: Sequence[float],
                        metric: MetricChoice = MANHATTAN) -> float:
     """(sum |a_k - b_k|^p)^(1/p); nonnegative, symmetric, and positive for a != b: a sum that
-    underflows is taken again over the differences divided by the largest."""
+    underflows or overflows is taken again over the differences divided by the largest, and a
+    difference or distance beyond the double range is inf."""
     if len(a) != len(b):
         raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
     p = metric.p
     if p == 1.0:  # the same bits as below, since x ** 1.0 == x, from a C-level pipeline
-        return math.fsum(map(abs, map(operator.sub, a, b)))
-    total = math.fsum(abs(x - y) ** p for x, y in zip(a, b))
-    if total < 2.0 ** -1022:  # a == b, or the powers underflowed to 0 or a subnormal sum
+        try:
+            return math.fsum(map(abs, map(operator.sub, a, b)))
+        except OverflowError:  # finite differences whose sum overflows
+            return math.inf
+    try:
+        total = math.fsum(abs(x - y) ** p for x, y in zip(a, b))
+    except OverflowError:  # a power or the sum of finite differences overflows
+        total = math.inf
+    if not 2.0 ** -1022 <= total < math.inf:  # a == b, the powers underflowed, or they overflowed
         top = max(map(abs, map(operator.sub, a, b)), default=0.0)
-        if top:  # divided by the largest difference, the largest term is 1
+        if 0.0 < top < math.inf:  # divided by the largest difference, the largest term is 1
             return top * math.fsum((abs(x - y) / top) ** p for x, y in zip(a, b)) ** (1.0 / p)
     return total ** (1.0 / p)
 

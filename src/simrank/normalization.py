@@ -4,7 +4,7 @@ For a maximization criterion x maps to (x - min) / (max - min); for a
 minimization criterion to (max - x) / (max - min), with min/max taken over
 all players. Either way the best value in the column becomes 1 and the
 worst becomes 0. A constant column would divide by zero: every player
-gets 0 for it and a DegenerateColumnWarning is emitted, since such a
+gets 0 for it and the column is listed in ``degenerate``, since such a
 column cannot discriminate between players anyway.
 
 All arithmetic is double precision with no intermediate rounding; callers
@@ -13,11 +13,10 @@ round only for display.
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple
 
 from .dataset import Dataset, _extrema
-from .errors import DegenerateColumnWarning, InsufficientSamples, UnknownCriterion, UnknownPlayer
+from .errors import InsufficientSamples, UnknownCriterion, UnknownPlayer
 from .schema import Direction
 
 
@@ -46,10 +45,10 @@ class NormalizedMatrix(NamedTuple):
 def normalize(dataset: Dataset) -> NormalizedMatrix:
     """Scale every included criterion of a valid dataset to [0, 1].
 
-    Player and criterion order are preserved. Constant columns trigger a
-    DegenerateColumnWarning and scale to 0 for every player. Fewer than 2
-    players raise InsufficientSamples, and a column whose max - min is not
-    finite raises NonFiniteSpread.
+    Player and criterion order are preserved. A constant column scales to 0
+    for every player and is listed in ``degenerate``. Fewer than 2 players
+    raise InsufficientSamples, and a column whose max - min is not finite
+    raises NonFiniteSpread.
     """
     n = len(dataset.names)
     if n < 2:
@@ -68,8 +67,4 @@ def normalize(dataset: Dataset) -> NormalizedMatrix:
             scaled.append([(x - lo) / spread for x in column])
         else:
             scaled.append([(hi - x) / spread for x in column])
-    # warn only once every column has scaled, so a refused table prints its error alone
-    for name in degenerate:
-        warnings.warn(f"column {name!r} is constant; scaled to 0 for all players",
-                      DegenerateColumnWarning, stacklevel=2)
     return NormalizedMatrix(dataset.names, criteria, tuple(zip(*scaled)), tuple(degenerate))

@@ -13,8 +13,7 @@ import csv
 import io
 import json
 import math
-from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .dataset import Dataset, _extrema
 from .errors import EmptySeries
@@ -188,15 +187,6 @@ def render_scatter_svg(series: ScatterSeries) -> str:
 
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def emit_scatter_svg(series: ScatterSeries, output: Union[str, Path, IO[str]]) -> None:
-    """Write the SVG rendering of ``series`` to a path or open text sink."""
-    text = render_scatter_svg(series)
-    if hasattr(output, "write"):
-        output.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
 
 
 # -- other tabular emitters ------------------------------------------------

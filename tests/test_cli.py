@@ -94,6 +94,16 @@ def test_k_too_large_is_data_error(capsys):
     assert "k must be between" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("nearest", "--target", "Messi", "-k", "abc"), "argument -k: not an integer: 'abc'"),
+    (("corr", "--top", "x"), "argument --top: not an integer: 'x'"),
+], ids=["nearest", "corr"])
+def test_a_count_that_is_not_an_integer_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f": error: {message}\n")
+
+
 def test_corr_matrix_csv(capsys):
     code, out, _ = run(capsys, "corr")
     rows = list(csv.reader(io.StringIO(out)))
@@ -297,6 +307,26 @@ def test_validate_warns_of_a_constant_column_as_rank_does(capsys, tmp_path, refe
     warning = "simrank: warning: column 'KeyP' is constant; scaled to 0 for all players\n"
     assert run(capsys, "validate", "--data", data) == (0, "ok\n", warning)
     assert run(capsys, "rank", "--target", "Messi", "--data", data)[::2] == (0, warning)
+
+
+CONSTANT_KEYP = "simrank: warning: column 'KeyP' is constant; scaled to 0 for all players\n"
+
+
+@pytest.mark.parametrize("argv", [("nearest", "--target", "Messi", "-k", "3"), ("dump-normalized",)],
+                         ids=["nearest", "dump-normalized"])
+def test_scaling_subcommands_warn_of_a_constant_column(capsys, tmp_path, reference_dataset, argv):
+    code, out, err = run(capsys, *argv, "--data", _constant_keyp_csv(tmp_path, reference_dataset))
+    assert (code, err) == (0, CONSTANT_KEYP)
+    assert out
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("rank", "--target", "Nobody"), "unknown player: 'Nobody'"),
+    (("nearest", "--target", "Messi", "-k", "99"), "k must be between 1 and 28, got 99"),
+], ids=["unknown-target", "k-out-of-range"])
+def test_an_error_after_scaling_follows_the_warning(capsys, tmp_path, reference_dataset, argv, error):
+    code, out, err = run(capsys, *argv, "--data", _constant_keyp_csv(tmp_path, reference_dataset))
+    assert (code, out, err) == (2, "", f"{CONSTANT_KEYP}simrank: error: {error}\n")
 
 
 @pytest.mark.parametrize("option, text", [("--data", "Player,SpG\nMüller,1\n"),

@@ -16,6 +16,7 @@ from simrank import (
     LengthMismatch,
     NonFiniteSpread,
     NonFiniteTrend,
+    UnknownCriterion,
     correlation_matrix,
     least_squares_line,
     pearson,
@@ -136,6 +137,18 @@ def test_constant_column_cell_is_undefined():
     assert math.isnan(cell.rho) and math.isnan(cell.p_value)
     assert cell.stars == ""
     assert m.cell("X", "Z").defined
+
+
+def test_matrix_needs_three_players():
+    with pytest.raises(InsufficientSamples, match="need at least 3 paired values, got 2"):
+        correlation_matrix(build_dataset(["a", "b"], {"X": [1, 2], "Y": [2, 1]}))
+
+
+@pytest.mark.parametrize("a, b", [("Rating", "KeyP"), ("KeyP", "Rating")], ids=["first", "second"])
+def test_matrix_cell_names_an_unknown_criterion(reference_correlations, a, b):
+    with pytest.raises(UnknownCriterion) as exc:
+        reference_correlations.cell(a, b)
+    assert str(exc.value) == "unknown criterion: 'Rating'"
 
 
 def test_top_pairs_skip_undefined_cells():

@@ -19,6 +19,7 @@ from simrank import (
     EmptyDataset,
     MissingColumn,
     MissingValue,
+    NonFiniteSpread,
     ParseError,
     PlayerRecord,
     UnknownCriterion,
@@ -257,6 +258,19 @@ def test_a_missing_cell_after_an_overflowing_sum_is_refused():
             compute(dataset)
 
 
+@pytest.mark.parametrize("column", [(1.0, math.nan, 3.0), (7.0, math.nan, 7.0), (3.0, 1.0, math.nan)],
+                         ids=["between", "constant", "last"])
+def test_a_nan_cell_anywhere_is_refused(column):
+    """min and max step over a nan that is not first, so without a check of its own the column
+    would scale with nan cells, or pass as constant, and the plot get nan coordinates."""
+    dataset = build_dataset("abc", {"X": column, "Y": [0.0, 1.0, 2.0]})
+    for compute in (normalize, lambda ds: render_scatter_svg(scatter_data(ds, "X", "Y")),
+                    lambda ds: render_scatter_svg(scatter_data(ds, "Y", "X"))):
+        with pytest.raises(NonFiniteSpread) as exc:
+            compute(dataset)
+        assert str(exc.value) == "column 'X': max - min is not finite"
+
+
 _XY = CriteriaSchema((CriterionSpec("X", Direction.MAXIMIZE), CriterionSpec("Y", Direction.MAXIMIZE)))
 
 
@@ -286,6 +300,13 @@ def test_load_error_contract(text, error, row, column, message):
     assert type(exc.value) is error
     assert (getattr(exc.value, "row", None), getattr(exc.value, "column", None)) == (row, column)
     assert str(exc.value) == message
+
+
+def test_a_repeated_header_is_refused_at_row_one():
+    with pytest.raises(ParseError) as exc:
+        load_dataset(io.StringIO("Player,X,Y,X\na,1,2,3\nb,4,5,6\n"), _XY)
+    assert (exc.value.row, exc.value.column) == (1, "X")
+    assert str(exc.value) == "row 1, column 'X': duplicate column header"
 
 
 def test_finite_cells_whose_row_sum_overflows_are_accepted():

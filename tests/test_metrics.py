@@ -49,6 +49,22 @@ def test_differences_whose_powers_underflow_keep_their_distance(p):
     assert minkowski_distance(a, b, MetricChoice(p)) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("a, b", [([0.0], [1e200]), ([0.0, 0.0], [1e300, 1e300]), ([0.0, 3e200], [4e200, 0.0]),
+                                  ([0.0, 0.0], [1e308, 1e308]), ([-1e154, 0.0], [1e154, 1e-300])])
+def test_differences_whose_powers_overflow_keep_their_distance(a, b):
+    """A power or the sum beyond the double range is taken again over the differences divided
+    by the largest, so a finite distance comes out as math.hypot gives it."""
+    assert minkowski_distance(a, b, EUCLIDEAN) == math.hypot(*map(float.__sub__, a, b))
+
+
+@pytest.mark.parametrize("a, b, p", [([0.0, 0.0], [1e308, 1e308], 1.0), ([-1e308], [1e308], 1.0),
+                                     ([-1e308], [1e308], 2.0), ([-1e308], [1e308], 3.0),
+                                     ([0.0] * 4, [1e308] * 4, 2.0), ([0.0] * 9, [1e308] * 9, 3.0)])
+def test_a_distance_beyond_the_double_range_is_inf(a, b, p):
+    """The sum at p = 1, the difference itself, or the largest difference times n ** (1/p) overflows."""
+    assert minkowski_distance(a, b, MetricChoice(p)) == math.inf
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         manhattan_distance((1.0, 2.0), (1.0,))

@@ -19,16 +19,16 @@ PUBLIC = {  # defining module -> the names simrank re-exports from it
                     "pearson", "significance_stars", "top_correlated_pairs", "two_tailed_p_value"],
     "dataset": ["Dataset", "PlayerRecord", "Violation", "dataset_to_csv", "load_dataset",
                 "load_reference_dataset", "validate"],
-    "errors": ["ConstantColumn", "DegenerateColumnWarning", "DimensionMismatch", "DuplicatePlayer",
-               "EmptyDataset", "EmptySeries", "InsufficientSamples", "KOutOfRange", "LengthMismatch",
+    "errors": ["ConstantColumn", "DimensionMismatch", "DuplicatePlayer", "EmptyDataset", "EmptySeries",
+               "InsufficientSamples", "KOutOfRange", "LengthMismatch",
                "MissingColumn", "MissingValue", "NonFiniteColumn", "NonFiniteSpread", "NonFiniteTrend", "ParseError",
                "SimrankError", "UnknownCriterion", "UnknownPlayer"],
     "metrics": ["EUCLIDEAN", "MANHATTAN", "MetricChoice", "distance_to_target", "manhattan_distance",
                 "minkowski_distance"],
     "normalization": ["NormalizedMatrix", "normalize"],
     "ranking": ["RankingEntry", "SimilarityRanking", "nearest_k", "rank_by_similarity"],
-    "reports": ["ScatterSeries", "emit_ranking", "emit_scatter", "emit_scatter_svg", "normalized_to_csv",
-                "render_scatter_svg", "scatter_data"],
+    "reports": ["ScatterSeries", "emit_ranking", "emit_scatter", "normalized_to_csv", "render_scatter_svg",
+                "scatter_data"],
     "schema": ["CriteriaSchema", "CriterionSpec", "Direction", "reference_schema", "schema_from_json",
                "schema_to_json"],
     "special": ["regularized_incomplete_beta", "student_t_cdf", "student_t_two_tailed"],
@@ -37,7 +37,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_exported_names_are_pinned():
-    assert len(NAMES) == 61
+    assert len(NAMES) == 59
     assert sorted(simrank.__all__) == NAMES
 
 
@@ -78,6 +78,36 @@ def test_record_copies_pickles_and_rebuilds_from_its_fields(reference_dataset, n
                  type(record)(*record)):
         assert type(twin) is type(record)
         assert twin == record
+
+
+ERRORS = [  # at least one instance of every SimrankError class, with and without fields
+    simrank.SimrankError("any message"), simrank.MissingColumn("X"), simrank.ParseError(3, "SpG"),
+    simrank.ParseError(1, "X", "duplicate column header"), simrank.DuplicatePlayer("a"),
+    simrank.EmptyDataset("CSV has no data rows"), simrank.UnknownCriterion("Games", "not included"),
+    simrank.UnknownPlayer("Nobody"), simrank.DimensionMismatch("vector lengths differ: 1 vs 2"),
+    simrank.KOutOfRange("k must be between 1 and 28, got 99"), simrank.LengthMismatch("3 vs 4"),
+    simrank.ConstantColumn(), simrank.ConstantColumn("KeyP"), simrank.MissingValue("X"),
+    simrank.NonFiniteColumn("X"), simrank.NonFiniteSpread("X"), simrank.NonFiniteTrend("X"),
+    simrank.InsufficientSamples("needs 2"), simrank.EmptySeries("no points"),
+]
+ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+               **{f"pickle-{protocol}": lambda error, protocol=protocol: pickle.loads(pickle.dumps(error, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)}}
+
+
+def test_every_error_class_has_a_sample():
+    import simrank.errors
+
+    defined = {obj for obj in vars(simrank.errors).values()
+               if isinstance(obj, type) and issubclass(obj, simrank.SimrankError)}
+    assert defined == {type(error) for error in ERRORS}
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS)
+def test_every_error_copies_and_pickles(trip):
+    for error in ERRORS:
+        twin = ROUND_TRIPS[trip](error)
+        assert (type(twin), str(twin), twin.args, vars(twin)) == (type(error), str(error), error.args, vars(error))
 
 
 def _run(*argv: str) -> subprocess.CompletedProcess:

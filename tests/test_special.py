@@ -77,6 +77,11 @@ def test_two_tailed_extremes():
     assert not math.isnan(student_t_two_tailed(1e8, 27))
 
 
+def test_two_tailed_refuses_nan():
+    with pytest.raises(ValueError, match="t must be a number, got nan"):
+        student_t_two_tailed(math.nan, 5)
+
+
 def test_positive_df_required():
     with pytest.raises(ValueError):
         student_t_cdf(1.0, 0.0)

@@ -1,5 +1,6 @@
-"""What `import simrank` and each CLI subcommand load, and whether each source and test module
-uses what it imports; all checked by module name, not by time."""
+"""What `import simrank` and each CLI subcommand load, whether each source and test module
+uses what it imports, and that only the CLI module prints, warns or writes; all checked by
+module name, not by time."""
 
 import ast
 import os
@@ -80,3 +81,30 @@ def test_every_import_is_used():
         stale += [f"{path.relative_to(SRC.parent)}:{line}: {name}"
                   for name, line in imported.items() if name not in used]
     assert stale == []
+
+
+OUTPUT = {"stdout", "stderr", "write_text", "write_bytes"}  # attributes that reach a stream or a file
+
+
+def _presents(node: ast.AST) -> str:
+    """What ``node`` prints, warns or writes through, or "" if nothing."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+        return "print"
+    if isinstance(node, ast.Attribute) and node.attr in OUTPUT:
+        return node.attr
+    if isinstance(node, ast.Import):
+        return " ".join(a.name for a in node.names if a.name == "warnings")
+    if isinstance(node, ast.ImportFrom):
+        return " ".join(a.name for a in node.names if node.module == "warnings" or a.name in OUTPUT)
+    return ""
+
+
+def test_only_the_cli_prints_warns_or_writes():
+    """The library returns what it finds, a constant column included; only cli.py presents it on
+    stdout, stderr or disk. The fork pipe's os.write in correlation.py is not output."""
+    found = []
+    for path in sorted((SRC / "simrank").glob("*.py")):
+        if path.name != "cli.py":
+            found += [f"{path.relative_to(SRC.parent)}:{node.lineno}: {what}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if (what := _presents(node))]
+    assert found == []
