@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from array import array
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Sequence
@@ -31,6 +32,9 @@ from .errors import (
 from .schema import CriteriaSchema, Source, _text_stream, reference_schema
 
 _REFERENCE_CSV = "whoscored_2018.csv"
+# Rows parsed per float() pass: enough to amortise the per-batch calls, few enough that the
+# batch's row strings stay small beside the table (tests/test_dataset.py bounds the transient).
+_BATCH = 64
 
 
 class PlayerRecord(NamedTuple):
@@ -119,36 +123,59 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
             raise MissingColumn(name)
 
     index = [col_index[c] for c in matched]
+    width = len(index)
     # itemgetter of one index returns the bare cell, not a 1-tuple
-    pick = itemgetter(*index) if len(index) > 1 else lambda row: (row[index[0]],)
+    pick = itemgetter(*index) if width > 1 else lambda row: (row[index[0]],)
     names: dict[str, None] = {}  # players in file order, as a dict to catch duplicates
     columns = [array("d") for _ in matched]  # one per matched criterion
+    rows: list[list[str]] = []  # the batch not yet parsed, and the line of each row
+    lines: list[int] = []
+
+    def flush() -> None:
+        """Parse the batch's cells in one float() pass into one packed array, row-major, and
+        give each column its strided slice; a refused batch is rescanned row by row, so the
+        first bad cell in row-major order, schema order within a row, raises."""
+        try:  # float() ignores surrounding whitespace
+            flat = array("d", map(float, chain.from_iterable(map(pick, rows))))
+            # an inf or nan cell never gives a finite sum, so only a non-finite sum needs a cell check
+            clean = math.isfinite(sum(flat))
+        except (ValueError, IndexError):  # a bad cell or a short row
+            clean = False
+        if not clean:
+            for row, line in zip(rows, lines):
+                error = _first_bad_cell(row, line, matched, index)
+                if error is not None:
+                    raise error
+        for k, column in enumerate(columns):
+            column.extend(flat[k::width])
+        rows.clear()
+        lines.clear()
+
     for line, row in enumerate(reader, start=2):
-        if not any(map(str.strip, row)):
-            continue
-        name = row[0].strip()
+        name = row[0].strip() if row else ""
         if not name:
+            if not any(map(str.strip, row)):
+                continue
+            flush()  # a bad cell in an earlier row wins over the name
             raise ParseError(line, "Player", "empty player name")
         if name in names:
+            flush()
             raise DuplicatePlayer(name)
-        try:  # float() ignores surrounding whitespace
-            values = tuple(map(float, pick(row)))
-        except (ValueError, IndexError):  # a bad cell or a short row
-            raise _first_bad_cell(row, line, matched, index) from None
-        # an inf or nan cell never gives a finite sum, so only a non-finite sum needs a cell check
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-            raise _first_bad_cell(row, line, matched, index)
         names[name] = None
-        any(map(array.append, columns, values))  # append returns None, so any() runs them all
+        rows.append(row)
+        lines.append(line)
+        if len(rows) == _BATCH:
+            flush()
+    flush()
 
     if not names:
         raise EmptyDataset("CSV has no data rows")
     return Dataset(schema, tuple(names), dict(zip(matched, columns)))
 
 
-def _first_bad_cell(row: list[str], line: int, matched: list[str], index: list[int]) -> ParseError:
-    """The error for the first bad cell, in schema order, of a row the fast path refused;
-    that row has one, since both paths apply the same float() and isfinite checks."""
+def _first_bad_cell(row: list[str], line: int, matched: list[str], index: list[int]) -> ParseError | None:
+    """The error for the first bad cell of ``row`` in schema order, or None for a clean row,
+    which a refused batch holds before its first bad row, or anywhere when finite cells overflow its sum."""
     for criterion, i in zip(matched, index):
         if i >= len(row):
             return ParseError(line, criterion, "missing value")
@@ -157,6 +184,7 @@ def _first_bad_cell(row: list[str], line: int, matched: list[str], index: list[i
                 return ParseError(line, criterion, "not a finite number")
         except ValueError:
             return ParseError(line, criterion)
+    return None
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
@@ -212,14 +240,22 @@ def validate(dataset: Dataset) -> list[Violation]:
                                     "min-max scaling needs at least 2 players"))
 
     for c in dataset.schema.included_names():
-        finite = []
-        for name, v in zip(names, dataset.table.get(c, (None,) * len(names))):
-            if v is None:
-                violations.append(Violation("MissingValue", f"{name}/{c}", "included criterion has no value"))
-            elif not math.isfinite(v):
-                violations.append(Violation("NonFiniteValue", f"{name}/{c}", f"value is {v!r}"))
-            else:
-                finite.append(v)
+        column = dataset.table.get(c, (None,) * len(names))
+        try:  # a finite sum rules out None, inf and nan cells, so a clean column skips the cell loop
+            clean = math.isfinite(sum(column))
+        except TypeError:
+            clean = False
+        if clean:
+            finite = column
+        else:
+            finite = []
+            for name, v in zip(names, column):
+                if v is None:
+                    violations.append(Violation("MissingValue", f"{name}/{c}", "included criterion has no value"))
+                elif not math.isfinite(v):
+                    violations.append(Violation("NonFiniteValue", f"{name}/{c}", f"value is {v!r}"))
+                else:
+                    finite.append(v)
         if finite:
             try:
                 _extrema(finite, c)

@@ -302,6 +302,64 @@ def test_load_error_contract(text, error, row, column, message):
     assert str(exc.value) == message
 
 
+def _generated(faults: dict[int, str], n: int = 600) -> str:
+    """Player,X,Y text of ``n`` rows p0, p1, ..., with row i replaced by ``faults[i]``; row i is line i + 2."""
+    return "Player,X,Y\n" + "".join(faults.get(i, f"p{i},{i},{i / 4}") + "\n" for i in range(n))
+
+
+# each fault pair lands on rows i and i + 1 on both sides of 64, 128 and 256 rows, so whatever
+# the load's batch size, some pairs share a batch and some straddle two
+_EDGES = [edge + d for edge in (64, 128, 256) for d in (-2, -1, 0)]
+
+
+@pytest.mark.parametrize("i", _EDGES)
+@pytest.mark.parametrize("first, then, message", [
+    ("p{i},1,x", "p0,1,2", "row {line}, column 'Y': not a number"),
+    ("p{i},inf,2", ",1,2", "row {line}, column 'X': not a finite number"),
+    ("p0,1,2", "p{j},x,2", "duplicate player: 'p0'"),
+    ("p{i},1", "p{j},x,x", "row {line}, column 'Y': missing value"),
+], ids=["bad-cell-before-duplicate", "bad-cell-before-empty-name", "duplicate-before-bad-cell",
+        "short-row-before-bad-cell"])
+def test_load_errors_across_batch_boundaries(i, first, then, message):
+    """The fault in row i wins over the one in row i + 1, in one batch or across two."""
+    text = _generated({i: first.format(i=i), i + 1: then.format(j=i + 1)})
+    with pytest.raises((ParseError, DuplicatePlayer)) as exc:
+        load_dataset(io.StringIO(text), _XY)
+    assert str(exc.value) == message.format(line=i + 2)
+
+
+@pytest.mark.parametrize("fault, column, message", [
+    ("p590,1,inf", "Y", "not a finite number"),
+    ("p590,-inf,2", "X", "not a finite number"),
+    ("p590,1", "Y", "missing value"),
+    ("p590", "X", "missing value"),
+])
+def test_a_bad_row_in_the_last_partial_batch_is_reported(fault, column, message):
+    """600 rows leave a partial batch for any batch size of 64, 128 or 256; row 590 is in it."""
+    with pytest.raises(ParseError) as exc:
+        load_dataset(io.StringIO(_generated({590: fault})), _XY)
+    assert str(exc.value) == f"row 592, column '{column}': {message}"
+
+
+@pytest.mark.parametrize("i", _EDGES)
+def test_finite_cells_whose_batch_sum_overflows_load_exactly(i):
+    dataset = load_dataset(io.StringIO(_generated({i: f"p{i},1e308,-1e308", i + 1: f"p{i + 1},1e308,-1e308"})), _XY)
+    assert len(dataset.names) == 600
+    assert dataset.column("X")[i:i + 3].tolist() == [1e308, 1e308, i + 2]
+    assert dataset.column("Y")[i - 1:i + 2].tolist() == [(i - 1) / 4, -1e308, -1e308]
+
+
+def test_one_criterion_round_trip_is_bit_exact():
+    """A one-criterion schema picks 1-tuples and slices the parsed batch at stride 1."""
+    rng = random.Random(20190)
+    values = [rng.uniform(-1e6, 1e6) * 10.0 ** rng.randint(-20, 20) for _ in range(700)]
+    values[300:304] = [5e-324, -0.0, 0.1 + 0.2, 1.7976931348623157e308]
+    dataset = build_dataset([f"p{i}" for i in range(700)], {"X": values})
+    reloaded = load_dataset(io.StringIO(dataset_to_csv(dataset)), dataset.schema)
+    assert reloaded.names == dataset.names
+    assert [struct.pack("d", v) for v in reloaded.column("X")] == [struct.pack("d", v) for v in values]
+
+
 def test_a_repeated_header_is_refused_at_row_one():
     with pytest.raises(ParseError) as exc:
         load_dataset(io.StringIO("Player,X,Y,X\na,1,2,3\nb,4,5,6\n"), _XY)
