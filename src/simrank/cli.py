@@ -105,19 +105,14 @@ def _metric(args: argparse.Namespace) -> MetricChoice:
     return {"p1": MANHATTAN, "p2": EUCLIDEAN}[args.metric]
 
 
-def _warn_constant(names: Sequence[str]) -> None:
-    """The warning line of each constant column, the one text of rank and validate."""
-    for name in names:
-        print(f"simrank: warning: column {name!r} is constant; scaled to 0 for all players", file=sys.stderr)
-
-
 def _normalize(dataset: Dataset) -> NormalizedMatrix:
     """``normalize(dataset)``, then one warning line on stderr for each constant column it
     scaled to 0; a refused table raises first, so it prints its error alone."""
     from .normalization import normalize
 
     matrix = normalize(dataset)
-    _warn_constant(matrix.degenerate)
+    for name in matrix.degenerate:
+        print(f"simrank: warning: column {name!r} is constant; scaled to 0 for all players", file=sys.stderr)
     return matrix
 
 
@@ -177,13 +172,12 @@ def _cmd_dump_normalized(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .dataset import _extrema, validate
+    from .dataset import validate
 
     dataset = _load(args)
     violations = validate(dataset)
-    if not violations:  # a sound table warns of each constant column as rank does, unscaled
-        extrema = {c: _extrema(dataset.column(c), c) for c in dataset.schema.included_names()}
-        _warn_constant([c for c, (lo, hi) in extrema.items() if lo == hi])
+    if not violations:  # a sound table scales, and warns of each constant column as rank does
+        _normalize(dataset)
     print("\n".join(map(str, violations)) or "ok")
     return 2 if violations else 0
 

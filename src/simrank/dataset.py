@@ -240,22 +240,14 @@ def validate(dataset: Dataset) -> list[Violation]:
                                     "min-max scaling needs at least 2 players"))
 
     for c in dataset.schema.included_names():
-        column = dataset.table.get(c, (None,) * len(names))
-        try:  # a finite sum rules out None, inf and nan cells, so a clean column skips the cell loop
-            clean = math.isfinite(sum(column))
-        except TypeError:
-            clean = False
-        if clean:
-            finite = column
-        else:
-            finite = []
-            for name, v in zip(names, column):
-                if v is None:
-                    violations.append(Violation("MissingValue", f"{name}/{c}", "included criterion has no value"))
-                elif not math.isfinite(v):
-                    violations.append(Violation("NonFiniteValue", f"{name}/{c}", f"value is {v!r}"))
-                else:
-                    finite.append(v)
+        finite = []
+        for name, v in zip(names, dataset.table.get(c, (None,) * len(names))):
+            if v is None:
+                violations.append(Violation("MissingValue", f"{name}/{c}", "included criterion has no value"))
+            elif not math.isfinite(v):
+                violations.append(Violation("NonFiniteValue", f"{name}/{c}", f"value is {v!r}"))
+            else:
+                finite.append(v)
         if finite:
             try:
                 _extrema(finite, c)
