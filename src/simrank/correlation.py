@@ -14,8 +14,8 @@ Stars follow the usual ladder: *** for p <= 0.01, ** for p <= 0.05,
 The deviations of every centred column are held packed, and ``_cross_sums``
 unpacks one row's at a time for the pair sums of ``correlation_matrix``. On
 a large table the later half of those sums runs in one forked child process
-(``_pair_sums``); its doubles come back as raw bytes, so the matrix is the
-same bit for bit.
+(``_pair_sums``); it copies its doubles into memory shared with the parent, so
+the matrix is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -58,15 +58,10 @@ class CorrelationMatrix(NamedTuple):
     cells: tuple[tuple[CorrelationCell, ...], ...]
 
     def cell(self, a: str, b: str) -> CorrelationCell:
-        try:
-            i = self.criteria.index(a)
-        except ValueError:
-            raise UnknownCriterion(a) from None
-        try:
-            j = self.criteria.index(b)
-        except ValueError:
-            raise UnknownCriterion(b) from None
-        return self.cells[i][j]
+        for name in (a, b):
+            if name not in self.criteria:
+                raise UnknownCriterion(name)
+        return self.cells[self.criteria.index(a)][self.criteria.index(b)]
 
 
 def _moments(xs: Sequence[float]) -> tuple[float, list[float], float]:
@@ -111,13 +106,19 @@ def _rho(cross: float, ss_x: float, ss_y: float) -> float:
     return max(-1.0, min(1.0, cross / math.sqrt(ss_x * ss_y)))
 
 
-def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient of two equal-length columns."""
+def _centre_pair(xs: Sequence[float], ys: Sequence[float], least: int,
+                 names: tuple[str, str]) -> tuple[tuple[float, array, float, int], ...]:
+    """``_centre`` of both columns, once they have the same length and at least ``least`` values."""
     if len(xs) != len(ys):
         raise LengthMismatch(f"column lengths differ: {len(xs)} vs {len(ys)}")
-    if len(xs) < 3:
-        raise InsufficientSamples(f"need at least 3 paired values, got {len(xs)}")
-    (_, dx, ss_x, _), (_, dy, ss_y, _) = _centre(xs, "x"), _centre(ys, "y")
+    if len(xs) < least:
+        raise InsufficientSamples(f"need at least {least} paired values, got {len(xs)}")
+    return _centre(xs, names[0]), _centre(ys, names[1])
+
+
+def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Sample Pearson correlation coefficient of two equal-length columns."""
+    (_, dx, ss_x, _), (_, dy, ss_y, _) = _centre_pair(xs, ys, 3, ("x", "y"))
     if ss_x == 0.0 or ss_y == 0.0:
         raise ConstantColumn()
     return _rho(math.fsum(map(operator.mul, dx, dy)), ss_x, ss_y)
@@ -127,11 +128,7 @@ def least_squares_line(xs: Sequence[float], ys: Sequence[float],
                        names: tuple[str, str] = ("x", "y")) -> tuple[float, float]:
     """Ordinary least squares fit y = slope * x + intercept; errors name the columns ``names``,
     and NonFiniteTrend names the x column when the slope or intercept overflows."""
-    if len(xs) != len(ys):
-        raise LengthMismatch(f"column lengths differ: {len(xs)} vs {len(ys)}")
-    if len(xs) < 2:
-        raise InsufficientSamples(f"need at least 2 paired values, got {len(xs)}")
-    (mean_x, dx, ss_x, kx), (mean_y, dy, _, ky) = _centre(xs, names[0]), _centre(ys, names[1])
+    (mean_x, dx, ss_x, kx), (mean_y, dy, _, ky) = _centre_pair(xs, ys, 2, names)
     if ss_x == 0.0:
         raise ConstantColumn(names[0])
     try:  # ldexp undoes the scales of dx, dy and ss_x, and raises where inf would come out
@@ -175,7 +172,7 @@ def significance_stars(p_value: float) -> str:
 
 
 # The fewest deviation products (rows times pairs) for which correlation_matrix forks. At about
-# 90 ns a product, 1 << 20 of them take about 95 ms serially, against 2-3 ms for the fork, pipe
+# 90 ns a product, 1 << 20 of them take about 95 ms serially, against 2-3 ms for the fork, copy
 # and wait, so a host that runs only one of the CPUs at a time costs the forked call about 10%.
 _FORK_MIN_PRODUCTS = 1 << 20
 
@@ -197,40 +194,37 @@ def _pair_sums(centred: list[tuple[float, array, float, int]], pairs: list[tuple
                n: int) -> array:
     """``_cross_sums(centred, pairs)``, with the later half computed in one forked child where
     that pays: two or more CPUs, one Python thread (fork is unsafe in a threaded process) and at
-    least _FORK_MIN_PRODUCTS products. The child's doubles come back through a pipe as raw bytes,
-    so the sums are the same bit for bit. If the fork fails the call runs serially, and if the
-    child dies before sending every sum the parent computes the child's half itself."""
+    least _FORK_MIN_PRODUCTS products. The child copies its doubles into an anonymous shared
+    mapping and exits 0 only after the copy, so the sums are the same bit for bit. If the mapping
+    or the fork fails the call runs serially, and if the child exits otherwise the parent
+    computes the child's half itself."""
     affinity = getattr(os, "sched_getaffinity", None)
     if (n * len(pairs) < _FORK_MIN_PRODUCTS or threading.active_count() != 1
             or affinity is None or len(affinity(0)) < 2):
         return _cross_sums(centred, pairs)
+    import mmap  # only a forking call needs it
     half = len(pairs) // 2
-    r, w = os.pipe()
+    size = (len(pairs) - half) * 8
     try:
+        shared = mmap.mmap(-1, max(size, 1))  # a mapping cannot be empty
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
         return _cross_sums(centred, pairs)
-    if pid == 0:  # the child: send its half and leave, with no stdio flush and no atexit
+    if pid == 0:  # the child: copy its half and leave, with no stdio flush and no atexit
         try:
-            os.close(r)  # else a parent that stopped reading would leave this write blocked
-            view = memoryview(_cross_sums(centred, pairs[half:]).tobytes())
-            while view:
-                view = view[os.write(w, view):]
-        finally:
+            shared[:size] = _cross_sums(centred, pairs[half:])
             os._exit(0)
-    os.close(w)
-    try:
-        with open(r, "rb") as pipe:
+        finally:  # reached only if the sums or the copy raised
+            os._exit(1)
+    with shared:
+        try:
             sums = _cross_sums(centred, pairs[:half])
-            tail = pipe.read()
-    finally:
-        os.waitpid(pid, 0)
-    if len(tail) == (len(pairs) - half) * sums.itemsize:
-        sums.frombytes(tail)
-    else:  # the child died or was killed
-        sums.extend(_cross_sums(centred, pairs[half:]))
+        finally:
+            _, status = os.waitpid(pid, 0)
+        if status == 0:
+            sums.frombytes(shared[:size])
+        else:  # the child raised, died or was killed
+            sums.extend(_cross_sums(centred, pairs[half:]))
     return sums
 
 
@@ -259,12 +253,7 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
 
 def top_correlated_pairs(matrix: CorrelationMatrix, k: int) -> list[CorrelationCell]:
     """The k off-diagonal pairs with largest |rho|, ties broken by pair name."""
-    pairs = [
-        matrix.cells[i][j]
-        for i in range(len(matrix.criteria))
-        for j in range(i + 1, len(matrix.criteria))
-        if matrix.cells[i][j].defined
-    ]
+    pairs = [cell for i, row in enumerate(matrix.cells) for cell in row[i + 1:] if cell.defined]
     if not 0 <= k <= len(pairs):
         raise KOutOfRange(f"k must be between 0 and {len(pairs)}, got {k}")
     pairs.sort(key=lambda c: (-abs(c.rho), c.criterion_a, c.criterion_b))

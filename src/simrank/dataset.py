@@ -22,6 +22,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 from .errors import (
     DuplicatePlayer,
     EmptyDataset,
+    LengthMismatch,
     MissingColumn,
     MissingValue,
     NonFiniteColumn,
@@ -80,11 +81,15 @@ class Dataset(NamedTuple):
                      for i, name in enumerate(self.names))
 
     def column(self, name: str) -> Sequence[float]:
-        """Raw values of one criterion, in player order: the stored column, not a copy."""
+        """Raw values of one criterion, in player order: the stored column, not a copy.
+        LengthMismatch if a hand-built column holds more or fewer values than there are players."""
         try:
-            return self.table[name]
+            column = self.table[name]
         except KeyError:
             raise UnknownCriterion(name, "criterion not in dataset") from None
+        if len(column) != len(self.names):
+            raise LengthMismatch(f"column {name!r}: {len(column)} values for {len(self.names)} players")
+        return column
 
 
 def load_dataset(source: Source, schema: CriteriaSchema) -> Dataset:
@@ -240,14 +245,21 @@ def validate(dataset: Dataset) -> list[Violation]:
                                     "min-max scaling needs at least 2 players"))
 
     for c in dataset.schema.included_names():
+        column = dataset.table.get(c, (None,) * len(names))
+        if len(column) != len(names):
+            violations.append(Violation("LengthMismatch", c,
+                                        f"{len(column)} values for {len(names)} players"))
+            continue
         finite = []
-        for name, v in zip(names, dataset.table.get(c, (None,) * len(names))):
-            if v is None:
-                violations.append(Violation("MissingValue", f"{name}/{c}", "included criterion has no value"))
-            elif not math.isfinite(v):
-                violations.append(Violation("NonFiniteValue", f"{name}/{c}", f"value is {v!r}"))
-            else:
-                finite.append(v)
+        for name, v in zip(names, column):
+            try:
+                if math.isfinite(v):
+                    finite.append(v)
+                else:
+                    violations.append(Violation("NonFiniteValue", f"{name}/{c}", f"value is {v!r}"))
+            except TypeError:  # None, the missing value, or a cell that is not a number
+                violations.append(Violation("MissingValue", f"{name}/{c}", "included criterion has no value"
+                                            if v is None else f"value {v!r} is not a number"))
         if finite:
             try:
                 _extrema(finite, c)

@@ -76,7 +76,7 @@ class KOutOfRange(SimrankError):
 
 
 class LengthMismatch(SimrankError):
-    """Two value columns passed to a correlation differ in length."""
+    """Two columns passed to a correlation differ in length, or a Dataset column and its players do."""
 
 
 class ConstantColumn(SimrankError):

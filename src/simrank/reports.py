@@ -60,14 +60,13 @@ _RANKING = ("rank", "player", "distance")
 
 def emit_ranking(ranking: SimilarityRanking, fmt: str = "table") -> str:
     """Render a ranking as 'table' (3-decimal distances), 'csv' or 'json'."""
-    rows = [(e.rank, e.player, e.distance) for e in ranking.entries]
     if fmt == "table":
-        return _table(_RANKING, [(r, p, f"{d:.3f}") for r, p, d in rows])
+        return _table(_RANKING, [(r, p, f"{d:.3f}") for r, p, d in ranking.entries])
     if fmt == "csv":
-        return _csv(_RANKING, rows)
+        return _csv(_RANKING, ranking.entries)
     if fmt == "json":
         return _json({"target": ranking.target, "metric_p": ranking.metric.p,
-                      "entries": _records(_RANKING, rows)})
+                      "entries": _records(_RANKING, ranking.entries)})
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -207,20 +206,16 @@ def correlation_to_csv(matrix: CorrelationMatrix) -> str:
 _PAIRS = ("criterion_a", "criterion_b", "rho", "p_value", "stars")
 
 
-def _pair_rows(cells: Sequence[CorrelationCell]) -> list[tuple]:
-    return [(c.criterion_a, c.criterion_b, c.rho, c.p_value, c.stars) for c in cells]
-
-
 def top_pairs_table(cells: Sequence[CorrelationCell]) -> str:
     """Readable top-k listing: pair, rho to 2 decimals, p-value, stars."""
     return _table(("pair", "rho", "p_value", "stars"),
                   [(f"{a}/{b}", f"{rho:.2f}", f"{p:.3g}", stars)
-                   for a, b, rho, p, stars in _pair_rows(cells)])
+                   for a, b, rho, p, stars in cells])
 
 
 def top_pairs_csv(cells: Sequence[CorrelationCell]) -> str:
-    return _csv(_PAIRS, _pair_rows(cells))
+    return _csv(_PAIRS, cells)
 
 
 def top_pairs_json(cells: Sequence[CorrelationCell]) -> str:
-    return _json(_records(_PAIRS, _pair_rows(cells)))
+    return _json(_records(_PAIRS, cells))

@@ -1,4 +1,6 @@
+import errno
 import math
+import mmap
 import os
 import random
 import threading
@@ -29,7 +31,7 @@ from simrank.cli import cli_main
 
 @pytest.fixture(autouse=True)
 def _leaves_no_child_or_descriptor():
-    """correlation_matrix may fork: no test here may leave a child process or a pipe end."""
+    """correlation_matrix may fork: no test here may leave a child process or a descriptor."""
     with leaves_no_child_or_descriptor():
         yield
 
@@ -374,6 +376,37 @@ def test_child_that_dies_before_writing_gives_the_same_matrix(monkeypatch, forks
     died = correlation_matrix(dataset)
     assert forks_at_any_size == [1]
     assert cell_bytes(died) == cell_bytes(_serial_matrix(monkeypatch, dataset))
+
+
+def test_child_that_raises_gives_the_same_matrix(monkeypatch, forks_at_any_size):
+    """The child exits 1 on an exception, never going on to run its caller's code."""
+    dataset = _random_table(2000, seed=1117)
+    parent, cross_sums = os.getpid(), simrank.correlation._cross_sums
+
+    def raises_in_child(centred, pairs):
+        if os.getpid() != parent:
+            raise MemoryError
+        return cross_sums(centred, pairs)
+
+    monkeypatch.setattr(simrank.correlation, "_cross_sums", raises_in_child)
+    raised = correlation_matrix(dataset)
+    assert forks_at_any_size == [1]
+    assert cell_bytes(raised) == cell_bytes(_serial_matrix(monkeypatch, dataset))
+
+
+def test_no_descriptor_or_memory_for_the_child_runs_serially(monkeypatch, forks_at_any_size):
+    """Neither a pipe nor a shared mapping can be made (a full descriptor table, or no memory):
+    the sums run in this process, with no fork, and leave no child or descriptor behind."""
+    dataset = _random_table(2000, seed=1118)
+    serial = cell_bytes(_serial_matrix(monkeypatch, dataset))
+
+    def refused(*args):
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    monkeypatch.setattr(os, "pipe", refused)
+    monkeypatch.setattr(mmap, "mmap", refused)
+    assert cell_bytes(correlation_matrix(dataset)) == serial
+    assert forks_at_any_size == []
 
 
 def test_no_fork_while_another_thread_runs(forks_at_any_size):

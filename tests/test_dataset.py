@@ -17,6 +17,7 @@ from simrank import (
     Direction,
     DuplicatePlayer,
     EmptyDataset,
+    LengthMismatch,
     MissingColumn,
     MissingValue,
     NonFiniteSpread,
@@ -27,6 +28,7 @@ from simrank import (
     dataset_to_csv,
     load_dataset,
     normalize,
+    rank_by_similarity,
     reference_schema,
     render_scatter_svg,
     scatter_data,
@@ -231,6 +233,31 @@ def test_validate_lists_cell_and_column_violations_in_order():
         ("NonFiniteValue", "c/Y", "value is inf"),
         ("NonFiniteSpread", "Z", "max - min is not finite"),
     ]
+
+
+@pytest.mark.parametrize("column", [(1.0, 2.0), (1.0, None, 3.0, 4.0)], ids=["short", "long"])
+def test_a_column_of_the_wrong_length_is_refused_by_every_computation(column):
+    """A hand-built column holding fewer or more values than there are players: Dataset.column
+    refuses it for every computation, and validate reports it without reading its cells."""
+    dataset = build_dataset("abc", {"A": [1.0, 2.0, 4.0], "B": [3.0, 1.0, 2.0]})
+    dataset = dataset._replace(table={**dataset.table, "A": column})
+    message = f"column 'A': {len(column)} values for 3 players"
+    for compute in (lambda ds: ds.column("A"), normalize, correlation_matrix,
+                    lambda ds: rank_by_similarity(normalize(ds), "a"),
+                    lambda ds: scatter_data(ds, "B", "A", True)):
+        with pytest.raises(LengthMismatch) as exc:
+            compute(dataset)
+        assert str(exc.value) == message
+    assert [tuple(v) for v in validate(dataset)] == [("LengthMismatch", "A", f"{len(column)} values for 3 players")]
+
+
+def test_a_non_numeric_cell_is_a_missing_value_everywhere():
+    dataset = build_dataset("abc", {"X": [1.0, 2.0, 4.0], "Y": [3.0, 1.0, 2.0]})
+    dataset = dataset._replace(table={**dataset.table, "X": (1.0, "x", 4.0)})
+    assert [tuple(v) for v in validate(dataset)] == [("MissingValue", "b/X", "value 'x' is not a number")]
+    for compute in (normalize, correlation_matrix):
+        with pytest.raises(MissingValue, match="'X'"):
+            compute(dataset)
 
 
 @pytest.mark.parametrize("compute", [

@@ -25,7 +25,7 @@ RUNS = (
     (["rank", "--target", "Messi", "--metric", "p2"], CORR),
     (["nearest", "--target", "Messi", "-k", "3"], CORR),
     (["dump-normalized"], CORR),
-    (["corr", "--top", "3", "--format", "json"], RANK),
+    (["corr", "--top", "3", "--format", "json"], (*RANK, "mmap")),  # mmap only where corr forks
     (["scatter", "-x", "KeyP", "-y", "AvPasses", "--trend"], RANK),
     (["validate"], ("simrank.reports", "simrank.ranking", *CORR)),
 )
@@ -101,7 +101,7 @@ def _presents(node: ast.AST) -> str:
 
 def test_only_the_cli_prints_warns_or_writes():
     """The library returns what it finds, a constant column included; only cli.py presents it on
-    stdout, stderr or disk. The fork pipe's os.write in correlation.py is not output."""
+    stdout, stderr or disk."""
     found = []
     for path in sorted((SRC / "simrank").glob("*.py")):
         if path.name != "cli.py":
