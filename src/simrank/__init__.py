@@ -17,7 +17,7 @@ _EXPORTS = {  # module -> the public names it defines
     "correlation": "CorrelationCell CorrelationMatrix correlation_matrix least_squares_line pearson "
                    "significance_stars top_correlated_pairs two_tailed_p_value",
     "dataset": "Dataset PlayerRecord Violation dataset_to_csv load_dataset load_reference_dataset validate",
-    "errors": "ConstantColumn DimensionMismatch DuplicatePlayer EmptyDataset "
+    "errors": "ConstantColumn DuplicatePlayer EmptyDataset "
               "EmptySeries InsufficientSamples KOutOfRange LengthMismatch MissingColumn MissingValue "
               "NonFiniteColumn NonFiniteSpread NonFiniteTrend ParseError SimrankError UnknownCriterion "
               "UnknownPlayer",

@@ -65,7 +65,8 @@ class CorrelationMatrix(NamedTuple):
 
 
 def _moments(xs: Sequence[float]) -> tuple[float, list[float], float]:
-    mean = math.fsum(xs) / len(xs)
+    first = xs[0]  # a constant column's mean is its cell, which fsum / n may round off
+    mean = first if all(x == first for x in xs) else math.fsum(xs) / len(xs)
     deviations = [x - mean for x in xs]
     return mean, deviations, math.fsum(map(operator.mul, deviations, deviations))
 

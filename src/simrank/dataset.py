@@ -65,7 +65,7 @@ class Dataset(NamedTuple):
     hold any sequence, and only there can a cell be None: a missing value, which
     ``validate`` reports. Read a player's value as ``column(c)[names.index(p)]``;
     ``perfbench/spans.py::_loaded`` counts each load through ``players`` until
-    ROADMAP direction 1 lands.
+    the benchmark's layer map counts ``names`` and ``table`` instead.
     """
 
     schema: CriteriaSchema
@@ -74,9 +74,10 @@ class Dataset(NamedTuple):
 
     @property
     def players(self) -> tuple[PlayerRecord, ...]:
-        """Every player as a PlayerRecord, rebuilt on each access, a None cell left out;
-        ``perfbench/spans.py::_loaded`` counts each load through it until direction 1 lands."""
-        return tuple(PlayerRecord(name, {c: column[i] for c, column in self.table.items()
+        """Every player as a PlayerRecord read through ``column()``, rebuilt on each access, a None
+        cell left out; kept for ``perfbench/spans.py::_loaded`` until the layer map stops reading it."""
+        columns = {c: self.column(c) for c in self.table}
+        return tuple(PlayerRecord(name, {c: column[i] for c, column in columns.items()
                                          if column[i] is not None})
                      for i, name in enumerate(self.names))
 
@@ -192,14 +193,19 @@ def _first_bad_cell(row: list[str], line: int, matched: list[str], index: list[i
     return None
 
 
-def dataset_to_csv(dataset: Dataset) -> str:
-    """Serialize back to CSV; the csv module writes each float as its repr, the
-    shortest exact form, so reloading reproduces bit-identical doubles."""
+def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Header and rows as CSV; the csv module writes each float as its repr, the shortest
+    exact form, so reloading reproduces bit-identical doubles."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["Player", *dataset.table])
-    writer.writerows(zip(dataset.names, *dataset.table.values()))
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def dataset_to_csv(dataset: Dataset) -> str:
+    """Serialize back to CSV, every value exactly; LengthMismatch for a column of the wrong length."""
+    return _csv(("Player", *dataset.table), zip(dataset.names, *map(dataset.column, dataset.table)))
 
 
 def load_reference_dataset(schema: CriteriaSchema | None = None) -> Dataset:

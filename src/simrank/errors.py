@@ -67,16 +67,12 @@ class UnknownPlayer(SimrankError):
         self.name = name
 
 
-class DimensionMismatch(SimrankError):
-    """Two vectors passed to a distance function differ in length."""
-
-
 class KOutOfRange(SimrankError):
     """A nearest-k or top-k request exceeds what the data can answer."""
 
 
 class LengthMismatch(SimrankError):
-    """Two columns passed to a correlation differ in length, or a Dataset column and its players do."""
+    """Two distance vectors, two correlated columns, or a Dataset column and its players differ in length."""
 
 
 class ConstantColumn(SimrankError):

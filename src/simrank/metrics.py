@@ -11,7 +11,7 @@ import math
 import operator
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatch
+from .errors import LengthMismatch
 from .normalization import NormalizedMatrix
 
 
@@ -36,7 +36,7 @@ def minkowski_distance(a: Sequence[float], b: Sequence[float],
     underflows or overflows is taken again over the differences divided by the largest, and a
     difference or distance beyond the double range is inf."""
     if len(a) != len(b):
-        raise DimensionMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
+        raise LengthMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
     p = metric.p
     if p == 1.0:  # the same bits as below, since x ** 1.0 == x, from a C-level pipeline
         try:

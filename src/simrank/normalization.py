@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .dataset import Dataset, _extrema
-from .errors import InsufficientSamples, UnknownCriterion, UnknownPlayer
+from .errors import InsufficientSamples, UnknownPlayer
 from .schema import Direction
 
 
@@ -34,12 +34,6 @@ class NormalizedMatrix(NamedTuple):
             return self.values[self.players.index(player)]
         except ValueError:
             raise UnknownPlayer(player) from None
-
-    def value(self, player: str, criterion: str) -> float:
-        try:
-            return self.row(player)[self.criteria.index(criterion)]
-        except ValueError:
-            raise UnknownCriterion(criterion) from None
 
 
 def normalize(dataset: Dataset) -> NormalizedMatrix:

@@ -9,13 +9,11 @@ byte-identical output.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .dataset import Dataset, _extrema
+from .dataset import Dataset, _csv, _extrema
 from .errors import EmptySeries
 
 if TYPE_CHECKING:  # annotations only: rank need not load correlation, nor corr ranking
@@ -36,15 +34,6 @@ class ScatterSeries(NamedTuple):
 def _table(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     """Header and rows with cells joined by two spaces, one line each."""
     return "".join("  ".join(map(str, row)) + "\n" for row in (header, *rows))
-
-
-def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Header and rows as CSV; the csv module writes floats with repr()."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 def _json(payload: object) -> str:

@@ -309,6 +309,26 @@ def test_validate_warns_of_a_constant_column_as_rank_does(capsys, tmp_path, refe
     assert run(capsys, "rank", "--target", "Messi", "--data", data)[::2] == (0, warning)
 
 
+def test_every_subcommand_sees_a_constant_column_whose_mean_rounds_as_constant(capsys, tmp_path):
+    """fsum / n takes three cells of 0.1 to 0.10000000000000002, so a column that rank and
+    validate warn of as constant would get a tiny nonzero variance in corr and the trend."""
+    schema = _write(tmp_path / "schema.json", '[{"name": "X", "direction": "max"}, '
+                    '{"name": "Y", "direction": "max"}, {"name": "Z", "direction": "max"}]')
+    data = ("--data", _write(tmp_path / "tenth.csv", "Player,X,Y,Z\na,0.1,1,3\nb,0.1,2,1\nc,0.1,4,2\n"),
+            "--schema", schema)
+    warning = "simrank: warning: column 'X' is constant; scaled to 0 for all players\n"
+    assert run(capsys, "validate", *data) == (0, "ok\n", warning)
+    code, out, err = run(capsys, "corr", *data)
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [rows[1], rows[2][1], rows[3][1]] == [["X", "1.0", "nan", "nan"], "nan", "nan"]
+    assert run(capsys, "corr", "--top", "1", "--format", "csv", *data)[:2] == (
+        0, "criterion_a,criterion_b,rho,p_value,stars\nY,Z,-0.32732683535398854,0.7877043849903436,\n")
+    assert run(capsys, "corr", "--top", "2", *data) == (2, "", "simrank: error: k must be between 0 and 1, got 2\n")
+    assert run(capsys, "scatter", "-x", "X", "-y", "Y", "--trend", *data) == (
+        2, "", "simrank: error: constant column 'X': zero variance\n")
+
+
 CONSTANT_KEYP = "simrank: warning: column 'KeyP' is constant; scaled to 0 for all players\n"
 
 

@@ -242,8 +242,8 @@ def test_a_column_of_the_wrong_length_is_refused_by_every_computation(column):
     dataset = build_dataset("abc", {"A": [1.0, 2.0, 4.0], "B": [3.0, 1.0, 2.0]})
     dataset = dataset._replace(table={**dataset.table, "A": column})
     message = f"column 'A': {len(column)} values for 3 players"
-    for compute in (lambda ds: ds.column("A"), normalize, correlation_matrix,
-                    lambda ds: rank_by_similarity(normalize(ds), "a"),
+    for compute in (lambda ds: ds.column("A"), lambda ds: ds.players, dataset_to_csv, normalize,
+                    correlation_matrix, lambda ds: rank_by_similarity(normalize(ds), "a"),
                     lambda ds: scatter_data(ds, "B", "A", True)):
         with pytest.raises(LengthMismatch) as exc:
             compute(dataset)

@@ -7,7 +7,7 @@ from golden import DISTANCE_TOLERANCE
 from simrank import (
     EUCLIDEAN,
     MANHATTAN,
-    DimensionMismatch,
+    LengthMismatch,
     MetricChoice,
     UnknownPlayer,
     distance_to_target,
@@ -66,9 +66,9 @@ def test_a_distance_beyond_the_double_range_is_inf(a, b, p):
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LengthMismatch, match="^vector lengths differ: 2 vs 1$"):
         manhattan_distance((1.0, 2.0), (1.0,))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LengthMismatch, match="^vector lengths differ: 2 vs 1$"):
         minkowski_distance((1.0, 2.0), (1.0,), EUCLIDEAN)
 
 

@@ -3,7 +3,10 @@ simrank itself never needs. ``derandomize`` and no example database keep each ru
 Hypothesis also caches the constants it reads from local source, while pytest collects, so
 its home is a temporary directory, removed at exit, and a run writes nothing into the tree."""
 
+import contextlib
+import csv
 import io
+import json
 import math
 import os
 import struct
@@ -29,6 +32,7 @@ from simrank import (
     pearson,
     rank_by_similarity,
 )
+from simrank.cli import cli_main
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, configuration, example, given, settings, strategies as st  # noqa: E402  (after the skip)
@@ -151,3 +155,112 @@ def test_minkowski_axioms_hold(points, p):
     assert (d(x, y) > 0.0) == (x != y)
     # each of the three distances is within a few ulp of exact
     assert d(x, z) <= (d(x, y) + d(y, z)) * (1.0 + 1e-14)
+
+
+# 3 to 12 cells a column, each column one repeated value, whose fsum / n may round off, or any
+# values; every magnitude is at most 1e300, so no max - min overflows and normalize answers
+CONSTANT_OR_NOT = st.integers(3, 12).flatmap(lambda n: st.lists(
+    st.floats(-1e300, 1e300).map(lambda v: [v] * n)
+    | st.lists(st.floats(-1e300, 1e300), min_size=n, max_size=n), min_size=2, max_size=5))
+
+
+@settings(database=None, derandomize=True)
+@given(CONSTANT_OR_NOT)
+@example([[0.1] * 3, [1.0, 2.0, 4.0]])  # fsum / 3 gives 0.10000000000000002
+def test_a_pair_is_undefined_exactly_where_normalize_finds_a_constant_column(columns):
+    dataset = build_dataset([f"p{i}" for i in range(len(columns[0]))],
+                            {f"C{j}": column for j, column in enumerate(columns)})
+    degenerate = normalize(dataset).degenerate
+    matrix = correlation_matrix(dataset)
+    for i, row in enumerate(matrix.cells):
+        for cell in row[i + 1:]:
+            assert cell.defined != (cell.criterion_a in degenerate or cell.criterion_b in degenerate)
+
+
+# The error contract of the CLI on generated files: a sound table and schema, or one with a
+# single fault, so that many calls answer. Names may be dash-led, quoted or blank-padded.
+CRITERIA = ("A", "B", "C")
+NAME = st.sampled_from(["a", "b", "c", "-d", "e f", " g ", 'h"', "i,j"])
+GOOD_CELL = st.sampled_from(["0", "0.1", "1", "2.5", "-3", "1e308"]) | st.floats(-1e6, 1e6).map(repr)
+FAULTS = [None] * 7 + ["cell", "duplicate", "blank", "short", "alone", "missing", "schema"]
+MISUSE = st.sampled_from([(), (), (), ("--bogus",), ("--metric", "p3")])  # each a usage error everywhere
+
+
+@st.composite
+def cli_files(draw) -> tuple[str, list[dict], list[str]]:
+    """CSV text, schema items and the player names, with one fault or none."""
+    header = draw(st.permutations(CRITERIA))[:draw(st.integers(1, 3))]
+    names = draw(st.lists(NAME, unique=True, min_size=2, max_size=5))
+    rows = [[name, *draw(st.lists(GOOD_CELL, min_size=len(header), max_size=len(header)))] for name in names]
+    schema = [{"name": c, "direction": draw(st.sampled_from(["max", "min"])), "included": i == 0 or draw(st.booleans())}
+              for i, c in enumerate(header)]
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "cell":
+        draw(st.sampled_from(rows))[draw(st.integers(1, len(header)))] = draw(
+            st.sampled_from(["", "x", "inf", "nan", "-1e309"]))
+    elif fault == "duplicate":
+        rows.append([draw(st.sampled_from(names)), *rows[0][1:]])
+    elif fault == "blank":
+        rows.append(["", *rows[0][1:]])
+    elif fault == "short":
+        rows[-1].pop()
+    elif fault == "alone":
+        del rows[1:], names[1:]
+    elif fault == "missing":  # an included criterion the header lacks
+        schema.append({"name": "D", "direction": "max"})
+    elif fault == "schema":
+        schema.append(draw(st.sampled_from([schema[0], {"name": "E", "direction": "up"}, {"direction": "max"}])))
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([["Player", *header], *rows])
+    return text.getvalue(), schema, [name.strip() for name in names]
+
+
+def _argv(data, command: str, names: list[str], svg: str) -> list[str]:
+    """One call of ``command`` with drawn options; a target is given as --target=NAME, so a
+    name that starts with '-' is not read as an option."""
+    draw = data.draw
+    target = [f"--target={draw(st.sampled_from([*names, 'nobody']))}"]
+    formats = ["--format", draw(st.sampled_from(["table", "csv", "json"]))]
+    return {
+        "rank": lambda: target + ["--metric", draw(st.sampled_from(["p1", "p2"]))] + formats,
+        "nearest": lambda: target + ["-k", str(draw(st.integers(1, 6)))] + formats,
+        "corr": lambda: draw(st.sampled_from([[], ["--top", str(draw(st.integers(0, 4)))]])) + formats,
+        "scatter": lambda: ["-x", draw(st.sampled_from([*CRITERIA, "Z"])), "-y", draw(st.sampled_from(CRITERIA))]
+        + draw(st.sampled_from([[], ["--trend"]])) + draw(st.sampled_from([["--svg", svg], ["--format", "json"], []])),
+        "dump-normalized": list,
+        "validate": list,
+    }[command]()
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(cli_files(), st.data())
+def test_every_subcommand_keeps_the_error_contract(files, data):
+    """Exit 1 only for a usage error, else 0 or 2; on 0 only warning lines on stderr, on 2 one
+    error line after any warnings (validate's violations go to stdout instead); nothing raises."""
+    text, schema, names = files
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("data.csv", "schema.json", "plot.svg")}
+        with open(paths["data.csv"], "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        with open(paths["schema.json"], "w", encoding="utf-8") as f:
+            json.dump(schema, f)
+        for command in ("rank", "nearest", "corr", "scatter", "dump-normalized", "validate"):
+            misuse = data.draw(MISUSE)
+            argv = [command, *_argv(data, command, names, paths["plot.svg"]), *misuse,
+                    "--data", paths["data.csv"], "--schema", paths["schema.json"]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+            out, err = out.getvalue(), err.getvalue().splitlines()
+            if misuse:
+                assert (code, out) == (1, ""), argv
+                assert err[0].startswith("usage: simrank"), argv
+                continue
+            warnings = [line for line in err if line.startswith("simrank: warning: ")]
+            if code == 0:
+                assert warnings == err, argv
+            elif command == "validate" and not err:
+                assert code == 2 and out and out != "ok\n", argv
+            else:
+                assert code == 2, argv
+                assert out == "" and err[:-1] == warnings and err[-1].startswith("simrank: error: "), argv

@@ -19,7 +19,7 @@ PUBLIC = {  # defining module -> the names simrank re-exports from it
                     "pearson", "significance_stars", "top_correlated_pairs", "two_tailed_p_value"],
     "dataset": ["Dataset", "PlayerRecord", "Violation", "dataset_to_csv", "load_dataset",
                 "load_reference_dataset", "validate"],
-    "errors": ["ConstantColumn", "DimensionMismatch", "DuplicatePlayer", "EmptyDataset", "EmptySeries",
+    "errors": ["ConstantColumn", "DuplicatePlayer", "EmptyDataset", "EmptySeries",
                "InsufficientSamples", "KOutOfRange", "LengthMismatch",
                "MissingColumn", "MissingValue", "NonFiniteColumn", "NonFiniteSpread", "NonFiniteTrend", "ParseError",
                "SimrankError", "UnknownCriterion", "UnknownPlayer"],
@@ -37,7 +37,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_exported_names_are_pinned():
-    assert len(NAMES) == 59
+    assert len(NAMES) == 58
     assert sorted(simrank.__all__) == NAMES
 
 
@@ -84,7 +84,7 @@ ERRORS = [  # at least one instance of every SimrankError class, with and withou
     simrank.SimrankError("any message"), simrank.MissingColumn("X"), simrank.ParseError(3, "SpG"),
     simrank.ParseError(1, "X", "duplicate column header"), simrank.DuplicatePlayer("a"),
     simrank.EmptyDataset("CSV has no data rows"), simrank.UnknownCriterion("Games", "not included"),
-    simrank.UnknownPlayer("Nobody"), simrank.DimensionMismatch("vector lengths differ: 1 vs 2"),
+    simrank.UnknownPlayer("Nobody"), simrank.LengthMismatch("vector lengths differ: 1 vs 2"),
     simrank.KOutOfRange("k must be between 1 and 28, got 99"), simrank.LengthMismatch("3 vs 4"),
     simrank.ConstantColumn(), simrank.ConstantColumn("KeyP"), simrank.MissingValue("X"),
     simrank.NonFiniteColumn("X"), simrank.NonFiniteSpread("X"), simrank.NonFiniteTrend("X"),

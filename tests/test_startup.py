@@ -1,6 +1,6 @@
 """What `import simrank` and each CLI subcommand load, whether each source and test module
-uses what it imports, and that only the CLI module prints, warns or writes; all checked by
-module name, not by time."""
+uses what it imports, that only the CLI module prints, warns or writes, and that only the
+dataset module reads a Dataset's table; all checked by module name, not by time."""
 
 import ast
 import os
@@ -107,4 +107,14 @@ def test_only_the_cli_prints_warns_or_writes():
         if path.name != "cli.py":
             found += [f"{path.relative_to(SRC.parent)}:{node.lineno}: {what}"
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if (what := _presents(node))]
+    assert found == []
+
+
+def test_only_the_dataset_module_reads_a_table():
+    """``Dataset.column()`` is the one reader of a column outside dataset.py, so no computation
+    can skip its length check."""
+    found = [f"{path.relative_to(SRC.parent)}:{node.lineno}"
+             for path in sorted((SRC / "simrank").glob("*.py")) if path.name != "dataset.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "table"]
     assert found == []
