@@ -17,10 +17,9 @@ _EXPORTS = {  # module -> the public names it defines
     "correlation": "CorrelationCell CorrelationMatrix correlation_matrix least_squares_line pearson "
                    "significance_stars top_correlated_pairs two_tailed_p_value",
     "dataset": "Dataset PlayerRecord Violation dataset_to_csv load_dataset load_reference_dataset validate",
-    "errors": "ConstantColumn DuplicatePlayer EmptyDataset "
-              "EmptySeries InsufficientSamples KOutOfRange LengthMismatch MissingColumn MissingValue "
-              "NonFiniteColumn NonFiniteSpread NonFiniteTrend ParseError SimrankError UnknownCriterion "
-              "UnknownPlayer",
+    "errors": "ConstantColumn DuplicatePlayer InsufficientSamples KOutOfRange LengthMismatch MissingColumn "
+              "MissingValue NonFiniteColumn NonFiniteSpread NonFiniteTrend ParseError SimrankError "
+              "UnknownCriterion UnknownPlayer",
     "metrics": "EUCLIDEAN MANHATTAN MetricChoice distance_to_target manhattan_distance minkowski_distance",
     "normalization": "NormalizedMatrix normalize",
     "ranking": "RankingEntry SimilarityRanking nearest_k rank_by_similarity",

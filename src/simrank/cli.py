@@ -93,8 +93,8 @@ def _load(args: argparse.Namespace) -> Dataset:
     from .dataset import load_dataset, load_reference_dataset
     from .schema import reference_schema, schema_from_json
 
-    schema = schema_from_json(args.schema) if args.schema else reference_schema()
-    if args.data:
+    schema = reference_schema() if args.schema is None else schema_from_json(args.schema)
+    if args.data is not None:
         return load_dataset(args.data, schema)
     return load_reference_dataset(schema)
 
@@ -127,14 +127,11 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_nearest(args: argparse.Namespace) -> int:
-    from .ranking import SimilarityRanking, nearest_k
+    from .ranking import nearest_k
     from .reports import emit_ranking
 
-    metric = _metric(args)
     matrix = _normalize(_load(args))
-    entries = nearest_k(matrix, args.target, args.k, metric)
-    ranking = SimilarityRanking(args.target, metric, tuple(entries))
-    sys.stdout.write(emit_ranking(ranking, args.format))
+    sys.stdout.write(emit_ranking(nearest_k(matrix, args.target, args.k, _metric(args)), args.format))
     return 0
 
 
@@ -157,7 +154,7 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
     from .reports import emit_scatter, render_scatter_svg, scatter_data
 
     series = scatter_data(_load(args), args.x, args.y, with_trend=args.trend)
-    if args.svg:  # rendered before the file opens, so a refused series writes no file
+    if args.svg is not None:  # rendered before the file opens, so a refused series writes no file
         Path(args.svg).write_text(render_scatter_svg(series), encoding="utf-8")
     else:
         sys.stdout.write(emit_scatter(series, args.format))

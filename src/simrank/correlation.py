@@ -65,17 +65,18 @@ class CorrelationMatrix(NamedTuple):
 
 
 def _moments(xs: Sequence[float]) -> tuple[float, list[float], float]:
-    first = xs[0]  # a constant column's mean is its cell, which fsum / n may round off
-    mean = first if all(x == first for x in xs) else math.fsum(xs) / len(xs)
+    mean = math.fsum(xs) / len(xs)
     deviations = [x - mean for x in xs]
     return mean, deviations, math.fsum(map(operator.mul, deviations, deviations))
 
 
 def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float, int]:
     """Mean, deviations from it, their sum of squares, and k, where 2**k scales the last two.
-    k is 0 unless an fsum overflows or the sum leaves [2**-500, 2**500]; the column is then
-    centred again as x * 2**k, with max |x| * 2**k in [0.5, 1). That is exact, Pearson and the
-    least-squares slope are scale-free, and every later sum, root and product stays in range.
+    A finite constant column comes back at once, its cell the mean (which fsum / n may round
+    off), every deviation 0 and k 0. Otherwise k is 0 unless an fsum overflows or the sum leaves
+    [2**-500, 2**500]; the column is then centred again as x * 2**k, with max |x| * 2**k in
+    [0.5, 1). That is exact, Pearson and the least-squares slope are scale-free, and every
+    later sum, root and product stays in range.
     The mean is unscaled. NonFiniteSpread(name) for a column holding inf or nan, and
     MissingValue(name) for one holding a cell that is not a number. The deviations come back
     packed, 8 bytes each against a list's 32, as correlation_matrix holds every column at once;
@@ -83,14 +84,17 @@ def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float, int]:
     float.
     """
     k = 0
-    try:  # a None cell, which only a hand-built Dataset holds, raises TypeError in either pass
+    try:  # a None cell, which only a hand-built Dataset holds, raises TypeError in any pass
+        first = xs[0]
+        if math.isfinite(first) and all(x == first for x in xs):
+            return first, array("d", [0.0]) * len(xs), 0.0, 0
         try:
             mean, deviations, ss = _moments(xs)
         except (OverflowError, ValueError):  # a partial overflowed, or inf met -inf
             ss = math.inf
         if not 2.0 ** -500 <= ss <= 2.0 ** 500:  # nan included, and 0, which an underflow gives
             top = max(map(abs, xs))  # max() steps over a nan cell unless it comes first
-            if 0.0 < top < math.inf:  # else all zeros, left as they are, or inf or nan, refused below
+            if top < math.inf:  # else inf or nan, refused below
                 k = -math.frexp(top)[1]
                 mean, deviations, ss = _moments([math.ldexp(x, k) for x in xs])
     except TypeError:

@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from array import array
+from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicatePlayer,
-    EmptyDataset,
+    InsufficientSamples,
     LengthMismatch,
     MissingColumn,
     MissingValue,
@@ -96,10 +97,10 @@ class Dataset(NamedTuple):
 def load_dataset(source: Source, schema: CriteriaSchema) -> Dataset:
     """Read a CSV (path or open stream) into a Dataset under ``schema``.
 
-    Players keep file order. Raises MissingColumn if an included criterion
-    has no matching header, ParseError for non-numeric cells,
-    DuplicatePlayer for repeated names, EmptyDataset if there are no data
-    rows. The first error in row order wins, and within a row schema order.
+    Players keep file order. Raises MissingColumn if an included criterion has no matching
+    header, ParseError for non-numeric cells, DuplicatePlayer for repeated names and
+    InsufficientSamples if there is no header or no data row. The first error in row order
+    wins, and within a row schema order.
     """
     with _text_stream(source) as stream:
         return _read_rows(stream, schema)
@@ -110,7 +111,7 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptyDataset("CSV has no header row") from None
+        raise InsufficientSamples("CSV has no header row") from None
     if header:  # a text stream the caller opened as plain "utf-8" keeps the BOM
         header[0] = header[0].removeprefix("\ufeff")
     header = [h.strip() for h in header]
@@ -175,7 +176,7 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
     flush()
 
     if not names:
-        raise EmptyDataset("CSV has no data rows")
+        raise InsufficientSamples("CSV has no data rows")
     return Dataset(schema, tuple(names), dict(zip(matched, columns)))
 
 
@@ -231,21 +232,11 @@ def _extrema(column: Sequence[float], name: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _duplicates(names: Iterable[str]) -> list[str]:
-    seen: set[str] = set()
-    dupes: list[str] = []
-    for n in names:
-        if n in seen and n not in dupes:
-            dupes.append(n)
-        seen.add(n)
-    return dupes
-
-
 def validate(dataset: Dataset) -> list[Violation]:
     """Check every dataset invariant; an empty list means the dataset is sound."""
     names = dataset.names
     violations = [Violation("DuplicatePlayer", name, "player name appears more than once")
-                  for name in _duplicates(names)]
+                  for name, count in Counter(names).items() if count > 1]
     if len(names) < 2:
         violations.append(Violation("TooFewPlayers", f"{len(names)} player(s)",
                                     "min-max scaling needs at least 2 players"))

@@ -47,10 +47,6 @@ class DuplicatePlayer(SimrankError):
         self.name = name
 
 
-class EmptyDataset(SimrankError):
-    """The CSV contains a header but no data rows."""
-
-
 class UnknownCriterion(SimrankError):
     """A criterion name is not part of the schema (or not included)."""
 
@@ -116,8 +112,5 @@ class NonFiniteTrend(NonFiniteColumn):
 
 
 class InsufficientSamples(SimrankError):
-    """Too few observations: min-max scaling needs 2 players, the significance test n >= 3."""
-
-
-class EmptySeries(SimrankError):
-    """A scatter series without points cannot be rendered."""
+    """Too few observations: a CSV needs a header and a data row, a scatter plot a point,
+    min-max scaling 2 players and the significance test n >= 3."""

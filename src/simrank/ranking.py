@@ -22,7 +22,8 @@ class RankingEntry(NamedTuple):
 
 
 class SimilarityRanking(NamedTuple):
-    """Every non-target player, sorted by distance ascending; rank is 1-based."""
+    """Non-target players sorted by distance ascending, rank 1-based: every one from
+    ``rank_by_similarity``, the first k from ``nearest_k``."""
 
     target: str
     metric: MetricChoice
@@ -44,12 +45,13 @@ def rank_by_similarity(
 
 def nearest_k(
     matrix: NormalizedMatrix, target: str, k: int, metric: MetricChoice = MANHATTAN
-) -> list[RankingEntry]:
-    """The k players most similar to ``target``; 1 <= k <= player count - 1."""
+) -> SimilarityRanking:
+    """The ranking of ``target`` cut to the k players most similar; 1 <= k <= player count - 1."""
     limit = len(matrix.players) - 1
     if not 1 <= k <= limit:
         raise KOutOfRange(f"k must be between 1 and {limit}, got {k}")
-    return list(rank_by_similarity(matrix, target, metric).entries[:k])
+    ranking = rank_by_similarity(matrix, target, metric)
+    return ranking._replace(entries=ranking.entries[:k])
 
 
 def __getattr__(name: str):

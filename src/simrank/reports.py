@@ -14,7 +14,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .dataset import Dataset, _csv, _extrema
-from .errors import EmptySeries
+from .errors import InsufficientSamples
 
 if TYPE_CHECKING:  # annotations only: rank need not load correlation, nor corr ranking
     from .correlation import CorrelationCell, CorrelationMatrix
@@ -120,7 +120,7 @@ def _escape(text: str) -> str:
 def render_scatter_svg(series: ScatterSeries) -> str:
     """A self-contained SVG scatter plot: axes, labeled markers, optional trend."""
     if not series.points:
-        raise EmptySeries("cannot render a scatter plot without points")
+        raise InsufficientSamples("cannot render a scatter plot without points")
 
     x_lo, x_hi = _axis_range([p[1] for p in series.points], series.x_criterion)
     y_lo, y_hi = _axis_range([p[2] for p in series.points], series.y_criterion)

@@ -9,6 +9,7 @@ the best value.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from contextlib import contextmanager
@@ -94,15 +95,15 @@ def schema_to_json(schema: CriteriaSchema) -> str:
 def _text_stream(source: Source) -> Iterator[IO[str]]:
     """``source`` as a text stream: a path (str or Path) is opened as UTF-8 with
     any BOM dropped and closed afterwards, a binary stream is decoded the same
-    way, a text stream passes through. A decode error or malformed JSON
-    becomes a ValueError that names the source."""
+    way, a text stream passes through. A decode error, malformed JSON or CSV,
+    or JSON nested too deeply becomes a ValueError that names the source."""
     owned = isinstance(source, (str, Path))
     stream = open(source, "rb") if owned else source
     if not isinstance(stream.read(0), str):
         stream = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")
     try:
         yield stream
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error, RecursionError) as exc:
         name = source if owned else getattr(source, "name", "<stream>")
         raise ValueError(f"{name}: {exc}") from None
     finally:

@@ -351,13 +351,27 @@ def test_an_error_after_scaling_follows_the_warning(capsys, tmp_path, reference_
 
 @pytest.mark.parametrize("option, text", [("--data", "Player,SpG\nMüller,1\n"),
                                           ("--schema", '[{"name": "Müller", "direction": "max"}]'),
-                                          ("--schema", '[{"name": ')],
-                         ids=["data", "schema", "schema-json"])
+                                          ("--schema", '[{"name": '),
+                                          ("--data", "Player," + "S" * 200_000 + "\n"),
+                                          ("--schema", "[" * 100_000)],
+                         ids=["data", "schema", "schema-json", "data-cell-over-field-limit", "schema-too-deep"])
 def test_decode_error_names_the_file(capsys, tmp_path, option, text):
     path = _write(tmp_path / "latin1", text.encode("latin-1"))
     code, _, err = run(capsys, "validate", option, path)
     assert code == 2
     assert err.startswith(f"simrank: error: {path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("rank", "--target", "Messi", "--data", ""), "No such file or directory: ''"),
+    (("rank", "--target", "Messi", "--schema", ""), "No such file or directory: ''"),
+    (("scatter", "-x", "KeyP", "-y", "SpG", "--svg", ""), "Is a directory: '.'"),
+], ids=["data", "schema", "svg"])
+def test_an_empty_path_is_opened_not_ignored(capsys, argv, error):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("simrank: error: ") and err.endswith(f"] {error}\n")
     assert err.count("\n") == 1
 
 

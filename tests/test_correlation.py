@@ -141,6 +141,14 @@ def test_constant_column_cell_is_undefined():
     assert m.cell("X", "Z").defined
 
 
+@pytest.mark.parametrize("cell", [0.1, -7.0, 1e300, 5e-324])
+def test_a_constant_column_is_centred_once_and_unscaled(cell):
+    """Its cell is the mean and every deviation 0: no fsum rounds the mean, and its exact sum
+    of squares 0 is not taken for an underflow that would centre it again at another scale."""
+    mean, deviations, ss, k = simrank.correlation._centre([cell] * 3, "X")
+    assert (mean, deviations.tolist(), ss, k) == (cell, [0.0] * 3, 0.0, 0)
+
+
 def test_matrix_needs_three_players():
     with pytest.raises(InsufficientSamples, match="need at least 3 paired values, got 2"):
         correlation_matrix(build_dataset(["a", "b"], {"X": [1, 2], "Y": [2, 1]}))

@@ -16,7 +16,7 @@ from simrank import (
     Dataset,
     Direction,
     DuplicatePlayer,
-    EmptyDataset,
+    InsufficientSamples,
     LengthMismatch,
     MissingColumn,
     MissingValue,
@@ -100,12 +100,12 @@ def test_missing_excluded_column_is_fine():
 
 def test_header_only_is_empty():
     header = _reference_text().splitlines()[0]
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InsufficientSamples, match="^CSV has no data rows$"):
         _load_text(header + "\n")
 
 
 def test_blank_input_is_empty():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(InsufficientSamples, match="^CSV has no header row$"):
         _load_text("")
 
 
@@ -194,6 +194,11 @@ def test_validate_flags_duplicate_names(reference_dataset):
     violations = [v for v in validate(doubled) if v.rule == "DuplicatePlayer"]
     assert len(violations) == 1
     assert violations[0].subject == "Messi"
+
+
+def test_validate_lists_repeated_names_in_order_of_first_appearance():
+    dataset = build_dataset(["a", "b", "c", "b", "a", "a"], {"X": [1, 2, 3, 4, 5, 6]})
+    assert [v.subject for v in validate(dataset) if v.rule == "DuplicatePlayer"] == ["a", "b"]
 
 
 def test_validate_flags_single_player(reference_dataset):

@@ -19,8 +19,7 @@ PUBLIC = {  # defining module -> the names simrank re-exports from it
                     "pearson", "significance_stars", "top_correlated_pairs", "two_tailed_p_value"],
     "dataset": ["Dataset", "PlayerRecord", "Violation", "dataset_to_csv", "load_dataset",
                 "load_reference_dataset", "validate"],
-    "errors": ["ConstantColumn", "DuplicatePlayer", "EmptyDataset", "EmptySeries",
-               "InsufficientSamples", "KOutOfRange", "LengthMismatch",
+    "errors": ["ConstantColumn", "DuplicatePlayer", "InsufficientSamples", "KOutOfRange", "LengthMismatch",
                "MissingColumn", "MissingValue", "NonFiniteColumn", "NonFiniteSpread", "NonFiniteTrend", "ParseError",
                "SimrankError", "UnknownCriterion", "UnknownPlayer"],
     "metrics": ["EUCLIDEAN", "MANHATTAN", "MetricChoice", "distance_to_target", "manhattan_distance",
@@ -37,7 +36,7 @@ NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 
 def test_exported_names_are_pinned():
-    assert len(NAMES) == 58
+    assert len(NAMES) == 56
     assert sorted(simrank.__all__) == NAMES
 
 
@@ -83,12 +82,12 @@ def test_record_copies_pickles_and_rebuilds_from_its_fields(reference_dataset, n
 ERRORS = [  # at least one instance of every SimrankError class, with and without fields
     simrank.SimrankError("any message"), simrank.MissingColumn("X"), simrank.ParseError(3, "SpG"),
     simrank.ParseError(1, "X", "duplicate column header"), simrank.DuplicatePlayer("a"),
-    simrank.EmptyDataset("CSV has no data rows"), simrank.UnknownCriterion("Games", "not included"),
+    simrank.InsufficientSamples("CSV has no data rows"), simrank.UnknownCriterion("Games", "not included"),
     simrank.UnknownPlayer("Nobody"), simrank.LengthMismatch("vector lengths differ: 1 vs 2"),
     simrank.KOutOfRange("k must be between 1 and 28, got 99"), simrank.LengthMismatch("3 vs 4"),
     simrank.ConstantColumn(), simrank.ConstantColumn("KeyP"), simrank.MissingValue("X"),
     simrank.NonFiniteColumn("X"), simrank.NonFiniteSpread("X"), simrank.NonFiniteTrend("X"),
-    simrank.InsufficientSamples("needs 2"), simrank.EmptySeries("no points"),
+    simrank.InsufficientSamples("needs 2"),
 ]
 ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
                **{f"pickle-{protocol}": lambda error, protocol=protocol: pickle.loads(pickle.dumps(error, protocol))

@@ -3,6 +3,7 @@ import pytest
 from golden import DISTANCE_TOLERANCE, MESSI_RANKING, RONALDO_FARTHEST, RONALDO_NEAREST_3
 from helpers import build_dataset, transform_column
 from simrank import (
+    EUCLIDEAN,
     KOutOfRange,
     MANHATTAN,
     UnknownPlayer,
@@ -36,18 +37,18 @@ def test_ties_break_alphabetically():
 
 
 def test_nearest_ronaldo(reference_matrix):
-    entries = nearest_k(reference_matrix, "C. Ronaldo", 3, MANHATTAN)
+    entries = nearest_k(reference_matrix, "C. Ronaldo", 3, MANHATTAN).entries
     assert [e.player for e in entries] == [name for name, _ in RONALDO_NEAREST_3]
     for entry, (_, expected) in zip(entries, RONALDO_NEAREST_3):
         assert entry.distance == pytest.approx(expected, abs=DISTANCE_TOLERANCE)
 
 
 def test_nearest_one_to_messi(reference_matrix):
-    assert nearest_k(reference_matrix, "Messi", 1)[0].player == "Coutinho"
+    assert nearest_k(reference_matrix, "Messi", 1).entries[0].player == "Coutinho"
 
 
 def test_farthest_from_ronaldo(reference_matrix):
-    entries = nearest_k(reference_matrix, "C. Ronaldo", 28)
+    entries = nearest_k(reference_matrix, "C. Ronaldo", 28).entries
     assert entries[-1].player == RONALDO_FARTHEST
 
 
@@ -64,9 +65,9 @@ def test_unknown_target(reference_matrix):
 
 
 def test_nearest_k_is_prefix_of_full_ranking(reference_matrix):
-    full = rank_by_similarity(reference_matrix, "Messi").entries
+    full = rank_by_similarity(reference_matrix, "Messi", EUCLIDEAN)
     for k in (1, 5, 17, 28):
-        assert tuple(nearest_k(reference_matrix, "Messi", k)) == full[:k]
+        assert nearest_k(reference_matrix, "Messi", k, EUCLIDEAN) == full._replace(entries=full.entries[:k])
 
 
 def test_duplicate_of_target_ranks_first(reference_dataset):

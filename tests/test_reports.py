@@ -8,7 +8,7 @@ import pytest
 from helpers import build_dataset
 from simrank import (
     ConstantColumn,
-    EmptySeries,
+    InsufficientSamples,
     MANHATTAN,
     ScatterSeries,
     UnknownCriterion,
@@ -201,7 +201,7 @@ def test_svg_escape_matches_saxutils():
 
 
 def test_svg_empty_series_rejected():
-    with pytest.raises(EmptySeries):
+    with pytest.raises(InsufficientSamples, match="^cannot render a scatter plot without points$"):
         render_scatter_svg(ScatterSeries("X", "Y", ()))
 
 
