@@ -13,9 +13,10 @@ Stars follow the usual ladder: *** for p <= 0.01, ** for p <= 0.05,
 
 The deviations of every centred column are held packed, and ``_cross_sums``
 unpacks one row's at a time for the pair sums of ``correlation_matrix``. On
-a large table the later half of those sums runs in one forked child process
-(``_pair_sums``); it copies its doubles into memory shared with the parent, so
-the matrix is the same bit for bit.
+a large table both phases split across two processes (``_split``): a forked
+child centres the later half of the columns, and then a second one computes
+the later half of the pair sums. Each copies its doubles into memory shared
+with the parent, so the matrix is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import operator
 import os
 import threading
 from array import array
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .dataset import Dataset
@@ -176,61 +178,65 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
-# The fewest deviation products (rows times pairs) for which correlation_matrix forks. At about
-# 90 ns a product, 1 << 20 of them take about 95 ms serially, against 2-3 ms for the fork, copy
-# and wait, so a host that runs only one of the CPUs at a time costs the forked call about 10%.
+# The fewest deviation products (rows times pairs of included criteria) for which
+# correlation_matrix forks, once to centre half the columns and once for half the pair sums. At
+# about 90 ns a product and 165 ns a centred cell, 1 << 20 products at 17 criteria take about 95 ms
+# of pair sums and 20 ms of centring serially, against 2-3 ms for each fork, copy and wait, so a
+# host that runs only one of the CPUs at a time costs the forked call about 5%.
 _FORK_MIN_PRODUCTS = 1 << 20
 
 
-def _cross_sums(centred: list[tuple[float, array, float, int]], pairs: list[tuple[int, int]]) -> array:
-    """fsum of the deviation products of each pair (i, j) of columns centred by ``_centre``.
-    The pairs come in row order, so row i's deviations are unpacked once, and one row at a time."""
+def _cross_sums(deviations: list[array], pairs: list[tuple[int, int]]) -> array:
+    """fsum of the products of deviations[i] and deviations[j] for each pair (i, j). The pairs
+    come in row order, so row i's deviations are unpacked once, and one row at a time."""
     sums = array("d")
     row, x = -1, None
     for i, j in pairs:
         if i != row:
             x = None  # before the next row unpacks its own column
-            row, x = i, centred[i][1].tolist()
-        sums.append(math.fsum(map(operator.mul, x, centred[j][1])))
+            row, x = i, deviations[i].tolist()
+        sums.append(math.fsum(map(operator.mul, x, deviations[j])))
     return sums
 
 
-def _pair_sums(centred: list[tuple[float, array, float, int]], pairs: list[tuple[int, int]],
-               n: int) -> array:
-    """``_cross_sums(centred, pairs)``, with the later half computed in one forked child where
-    that pays: two or more CPUs, one Python thread (fork is unsafe in a threaded process) and at
-    least _FORK_MIN_PRODUCTS products. The child copies its doubles into an anonymous shared
-    mapping and exits 0 only after the copy, so the sums are the same bit for bit. If the mapping
-    or the fork fails the call runs serially, and if the child exits otherwise the parent
-    computes the child's half itself."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if (n * len(pairs) < _FORK_MIN_PRODUCTS or threading.active_count() != 1
-            or affinity is None or len(affinity(0)) < 2):
-        return _cross_sums(centred, pairs)
-    import mmap  # only a forking call needs it
-    half = len(pairs) // 2
-    size = (len(pairs) - half) * 8
-    try:
-        shared = mmap.mmap(-1, max(size, 1))  # a mapping cannot be empty
-        pid = os.fork()
-    except OSError:
-        return _cross_sums(centred, pairs)
-    if pid == 0:  # the child: copy its half and leave, with no stdio flush and no atexit
+def _split(work, jobs: Sequence, lengths, fork: bool) -> list[array]:
+    """``work(jobs)``, a list of array('d'), with the later half of the jobs worked in one forked
+    child if ``fork``; ``lengths(later)`` gives the length of each array ``work(later)`` returns.
+    The child writes its arrays in turn into an anonymous shared mapping and exits 0 only after
+    the last, and each comes back here as its own array, so the result is the same bit for bit.
+    If the mapping or the fork fails the jobs run here, and if the child exits otherwise (it
+    raised, died or was killed) this process works its half too, so an error in that half is
+    raised as the serial call raises it."""
+    half = len(jobs) // 2
+    later = jobs[half:]
+    if fork:
+        import mmap  # only a forking call needs it
+        sizes = [8 * length for length in lengths(later)]
         try:
-            shared[:size] = _cross_sums(centred, pairs[half:])
+            shared = mmap.mmap(-1, max(sum(sizes), 1))  # a mapping cannot be empty
+            pid = os.fork()
+        except OSError:
+            fork = False
+    if not fork:
+        return work(jobs)
+    if pid == 0:  # the child: write its arrays and leave, with no stdio flush and no atexit
+        try:
+            for doubles in work(later):
+                shared.write(doubles)
             os._exit(0)
-        finally:  # reached only if the sums or the copy raised
+        finally:  # reached only if the work or a write raised
             os._exit(1)
     with shared:
         try:
-            sums = _cross_sums(centred, pairs[:half])
+            done = work(jobs[:half])
         finally:
             _, status = os.waitpid(pid, 0)
-        if status == 0:
-            sums.frombytes(shared[:size])
-        else:  # the child raised, died or was killed
-            sums.extend(_cross_sums(centred, pairs[half:]))
-    return sums
+        if status != 0:
+            return done + work(later)
+        for size in sizes:
+            done.append(array("d"))
+            done[-1].frombytes(shared.read(size))
+    return done
 
 
 def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
@@ -239,16 +245,31 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     if n < 3:
         raise InsufficientSamples(f"need at least 3 paired values, got {n}")
     criteria = dataset.schema.included_names()
-    centred = [_centre(dataset.column(c), c) for c in criteria]
-    varying = [i for i, (_, _, ss, _) in enumerate(centred) if ss != 0.0]
+    # a forked child pays on two or more CPUs and a large table, and is unsafe in a threaded process
+    affinity = getattr(os, "sched_getaffinity", None)
+    fork = (n * len(criteria) * (len(criteria) - 1) // 2 >= _FORK_MIN_PRODUCTS
+            and threading.active_count() == 1 and affinity is not None and len(affinity(0)) >= 2)
+
+    def centre(names: Sequence[str]) -> list[array]:
+        """Each column's sum of squares, as an array of one, then its deviations."""
+        out = []
+        for c in names:
+            _, deviations, ss, _ = _centre(dataset.column(c), c)
+            out += array("d", [ss]), deviations
+        return out
+
+    centred = _split(centre, criteria, lambda names: [1, n] * len(names), fork)
+    sums_of_squares, deviations = [ss[0] for ss in centred[::2]], centred[1::2]
+    varying = [i for i, ss in enumerate(sums_of_squares) if ss != 0.0]
     pairs = [(i, j) for k, i in enumerate(varying) for j in varying[k + 1:]]
+    sums = _split(lambda part: [_cross_sums(deviations, part)], pairs, lambda part: [len(part)], fork)
 
     # (rho, p-value, stars) of each cell; a pair with a constant column stays undefined
     stats = [[(math.nan, math.nan, "")] * len(criteria) for _ in criteria]
     for i, row in enumerate(stats):
         row[i] = (1.0, 0.0, "***")
-    for (i, j), cross in zip(pairs, _pair_sums(centred, pairs, n)):
-        rho = _rho(cross, centred[i][2], centred[j][2])
+    for (i, j), cross in zip(pairs, chain.from_iterable(sums)):
+        rho = _rho(cross, sums_of_squares[i], sums_of_squares[j])
         p = two_tailed_p_value(rho, n)
         stats[i][j] = stats[j][i] = (rho, p, significance_stars(p))
     return CorrelationMatrix(criteria, tuple(

@@ -27,9 +27,26 @@ _EPS = 1e-15
 _TINY = 1e-300
 
 
+def _stirling_tail(x: float) -> float:
+    """c(x) = ln Gamma(x) - (x - 1/2) ln x + x - ln(2 pi) / 2, to within 1/(1188 x^9)."""
+    r = 1.0 / (x * x)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / x
+
+
 def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b)."""
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b).
+
+    lgamma's absolute error grows with its result, about eps * lgamma(a + b), so once the larger
+    argument a passes 20 the difference ln Gamma(a) - ln Gamma(a + b) is taken from Stirling's
+    series instead, where the large terms cancel before anything is rounded:
+    -(a - 1/2) log1p(b / a) - b ln(a + b) + b + c(a) - c(a + b).
+    """
+    if a < b:
+        a, b = b, a
+    if a < 20.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (math.lgamma(b) - (a - 0.5) * math.log1p(b / a) - b * math.log(a + b) + b
+            + _stirling_tail(a) - _stirling_tail(a + b))
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

@@ -10,12 +10,13 @@ import pytest
 
 import simrank.correlation
 from golden import CORRELATION_TOLERANCE, P_VALUE_RHO_HALF_N29, TOP_CORRELATIONS
-from helpers import build_dataset, cell_bytes, leaves_no_child_or_descriptor, transform_column
+from helpers import build_dataset, cell_bytes, leaves_no_child_or_descriptor, replace_value, transform_column
 from simrank import (
     ConstantColumn,
     InsufficientSamples,
     KOutOfRange,
     LengthMismatch,
+    MissingValue,
     NonFiniteSpread,
     NonFiniteTrend,
     UnknownCriterion,
@@ -320,17 +321,19 @@ def test_matrix_and_fit_match_plain_fsum_formula_bit_for_bit():
         assert least_squares_line(dataset.column(a), dataset.column(b)) == (slope, mean_y - slope * mean_x)
 
 
-def test_matrix_keeps_centred_columns_packed():
-    # every centred column as a list of floats would cost 17 * 32 bytes a row
-    n = 5000
+def _peak_bytes_of_a_matrix(n: int) -> int:
     dataset = _random_table(n, seed=7)
     tracemalloc.start()
     try:
         correlation_matrix(dataset)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 17 * 32 * n / 2
+
+
+def test_matrix_keeps_centred_columns_packed():
+    # every centred column as a list of floats would cost 17 * 32 bytes a row
+    assert _peak_bytes_of_a_matrix(5000) < 17 * 32 * 5000 / 2
 
 
 @pytest.fixture
@@ -354,6 +357,11 @@ def forks_at_any_size(monkeypatch, forks):
     return forks
 
 
+def test_forked_matrix_reads_each_of_the_childs_columns_packed(forks_at_any_size):
+    assert _peak_bytes_of_a_matrix(5000) < 17 * 32 * 5000 / 2
+    assert forks_at_any_size == [1, 1]
+
+
 def _serial_matrix(monkeypatch, dataset):
     """correlation_matrix with os.fork failing, which also runs the fallback to a serial call."""
     def no_pid():
@@ -367,7 +375,7 @@ def _serial_matrix(monkeypatch, dataset):
 def test_forked_matrix_equals_serial_bit_for_bit(monkeypatch, forks_at_any_size):
     dataset = _random_table(2000, seed=1114)
     forked = correlation_matrix(dataset)
-    assert forks_at_any_size == [1]
+    assert forks_at_any_size == [1, 1]
     assert cell_bytes(forked) == cell_bytes(_serial_matrix(monkeypatch, dataset))
 
 
@@ -382,7 +390,7 @@ def test_child_that_dies_before_writing_gives_the_same_matrix(monkeypatch, forks
 
     monkeypatch.setattr(simrank.correlation, "_cross_sums", dies_in_child)
     died = correlation_matrix(dataset)
-    assert forks_at_any_size == [1]
+    assert forks_at_any_size == [1, 1]
     assert cell_bytes(died) == cell_bytes(_serial_matrix(monkeypatch, dataset))
 
 
@@ -398,13 +406,58 @@ def test_child_that_raises_gives_the_same_matrix(monkeypatch, forks_at_any_size)
 
     monkeypatch.setattr(simrank.correlation, "_cross_sums", raises_in_child)
     raised = correlation_matrix(dataset)
-    assert forks_at_any_size == [1]
+    assert forks_at_any_size == [1, 1]
     assert cell_bytes(raised) == cell_bytes(_serial_matrix(monkeypatch, dataset))
+
+
+def _dies():
+    os._exit(1)
+
+
+def _raises():
+    raise MemoryError
+
+
+@pytest.mark.parametrize("fault", [_dies, _raises], ids=["dies", "raises"])
+def test_child_that_fails_while_centring_gives_the_same_matrix(monkeypatch, forks_at_any_size, fault):
+    dataset = _random_table(2000, seed=1119)
+    parent, centre = os.getpid(), simrank.correlation._centre
+
+    def fails_in_child(xs, name):
+        if os.getpid() != parent:
+            fault()
+        return centre(xs, name)
+
+    monkeypatch.setattr(simrank.correlation, "_centre", fails_in_child)
+    failed = correlation_matrix(dataset)
+    assert forks_at_any_size == [1, 1]
+    assert cell_bytes(failed) == cell_bytes(_serial_matrix(monkeypatch, dataset))
+
+
+# the child centres the later half of the 17 columns, c8 to c16
+@pytest.mark.parametrize("bad, error, named", [
+    ({"c12": math.nan}, NonFiniteSpread, "c12"),
+    ({"c15": None}, MissingValue, "c15"),
+    ({"c16": math.nan, "c9": None}, MissingValue, "c9"),
+    ({"c3": math.inf, "c10": None}, NonFiniteSpread, "c3"),  # the parent's column comes first
+], ids=["nan", "none", "two-in-the-child", "one-in-each-half"])
+def test_a_bad_column_in_the_child_raises_the_serial_error(monkeypatch, forks_at_any_size, bad, error, named):
+    dataset = _random_table(2000, seed=1120)
+    for criterion, value in bad.items():
+        dataset = replace_value(dataset, "p1234", criterion, value)
+    with pytest.raises(error) as serial:
+        _serial_matrix(monkeypatch, dataset)
+    with pytest.raises(error) as forked:
+        correlation_matrix(dataset)
+    assert forks_at_any_size == [1]  # the centring fork; no pair sums follow
+    assert str(forked.value) == str(serial.value)
+    assert forked.value.name == named
 
 
 def test_no_descriptor_or_memory_for_the_child_runs_serially(monkeypatch, forks_at_any_size):
     """Neither a pipe nor a shared mapping can be made (a full descriptor table, or no memory):
-    the sums run in this process, with no fork, and leave no child or descriptor behind."""
+    the centring and the sums run in this process, with no fork, and leave no child or descriptor
+    behind."""
     dataset = _random_table(2000, seed=1118)
     serial = cell_bytes(_serial_matrix(monkeypatch, dataset))
 

@@ -16,7 +16,7 @@ from simrank import (
     minkowski_distance,
     student_t_two_tailed,
 )
-from simrank.special import regularized_incomplete_beta
+from simrank.special import log_beta, regularized_incomplete_beta
 
 REL = 1e-13  # relative tolerance of the scipy comparisons, unless a test gives its own
 
@@ -66,8 +66,8 @@ def test_two_tailed_p_matches_t_sf_up_to_one(stats, df, rel):
 
 def test_incomplete_beta_matches_mpmath_into_deep_tails(mpmath):
     """scipy's betainc is wrong by up to 100% in such tails (a = 372, b = 39, x = 0.13:
-    I is 7.8e-279). The error grows with a + b, as the absolute error of lgamma(a + b)
-    does: about 1e-11 at a = 5000."""
+    I is 7.8e-279). With log_beta from lgamma alone the error grew with a + b, as the absolute
+    error of lgamma(a + b) does, to 8.1e-12 on this grid; from Stirling differences it is 1.2e-13."""
     rng = random.Random(17)
     cases = [(372.0, 39.0, x) for x in (0.13, 0.135, 0.14)]
     for _ in range(400):
@@ -80,8 +80,21 @@ def test_incomplete_beta_matches_mpmath_into_deep_tails(mpmath):
         tails += 0.0 < want < 1e-100
         # below the smallest normal double the result keeps fewer bits, so compare absolutely
         assert regularized_incomplete_beta(a, b, x) == pytest.approx(
-            want, rel=1e-11, abs=2.0 ** -1022), (a, b, x)
+            want, rel=5e-13, abs=2.0 ** -1022), (a, b, x)
     assert tails >= 30  # the grid reaches deep tails
+
+
+def test_log_beta_matches_mpmath_on_both_sides_of_the_stirling_switch(mpmath):
+    """Up to a = 20 log_beta adds three lgamma values; above, ln Gamma(a) - ln Gamma(a + b) comes
+    from Stirling's series, whose truncation is largest just past the switch."""
+    rng = random.Random(23)
+    cases = [(a, 0.5) for a in (13.5, 19.999, 20.0, 20.001, 4999.0)]
+    cases += [(math.exp(rng.uniform(math.log(0.3), math.log(5000.0))),
+               math.exp(rng.uniform(math.log(0.3), math.log(63.0)))) for _ in range(400)]
+    for a, b in cases:
+        want = float(mpmath.log(mpmath.beta(a, b)))
+        assert log_beta(a, b) == pytest.approx(want, rel=0.0, abs=5e-13), (a, b)
+        assert log_beta(b, a) == log_beta(a, b)
 
 
 @pytest.mark.parametrize("df", [1, 2, 5, 27])
