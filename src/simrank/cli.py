@@ -13,15 +13,14 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
+import simrank  # each name read through the package loads its module on first use
+
 from .errors import SimrankError
 
 if TYPE_CHECKING:
     from .dataset import Dataset
     from .metrics import MetricChoice
     from .normalization import NormalizedMatrix
-
-# Each subcommand imports the modules it uses inside its _cmd_* function, so a
-# cold call compiles and runs only those; `rank` never loads correlation.
 
 
 def _int_at_least(low: int):
@@ -90,89 +89,70 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> Dataset:
-    from .dataset import load_dataset, load_reference_dataset
-    from .schema import reference_schema, schema_from_json
-
-    schema = reference_schema() if args.schema is None else schema_from_json(args.schema)
+    schema = simrank.reference_schema() if args.schema is None else simrank.schema_from_json(args.schema)
     if args.data is not None:
-        return load_dataset(args.data, schema)
-    return load_reference_dataset(schema)
+        return simrank.load_dataset(args.data, schema)
+    return simrank.load_reference_dataset(schema)
 
 
 def _metric(args: argparse.Namespace) -> MetricChoice:
-    from .metrics import EUCLIDEAN, MANHATTAN
-
-    return {"p1": MANHATTAN, "p2": EUCLIDEAN}[args.metric]
+    return {"p1": simrank.MANHATTAN, "p2": simrank.EUCLIDEAN}[args.metric]
 
 
 def _normalize(dataset: Dataset) -> NormalizedMatrix:
     """``normalize(dataset)``, then one warning line on stderr for each constant column it
     scaled to 0; a refused table raises first, so it prints its error alone."""
-    from .normalization import normalize
-
-    matrix = normalize(dataset)
+    matrix = simrank.normalize(dataset)
     for name in matrix.degenerate:
         print(f"simrank: warning: column {name!r} is constant; scaled to 0 for all players", file=sys.stderr)
     return matrix
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    from .ranking import rank_by_similarity
-    from .reports import emit_ranking
-
     matrix = _normalize(_load(args))
-    ranking = rank_by_similarity(matrix, args.target, _metric(args))
-    sys.stdout.write(emit_ranking(ranking, args.format))
+    ranking = simrank.rank_by_similarity(matrix, args.target, _metric(args))
+    sys.stdout.write(simrank.emit_ranking(ranking, args.format))
     return 0
 
 
 def _cmd_nearest(args: argparse.Namespace) -> int:
-    from .ranking import nearest_k
-    from .reports import emit_ranking
-
     matrix = _normalize(_load(args))
-    sys.stdout.write(emit_ranking(nearest_k(matrix, args.target, args.k, _metric(args)), args.format))
+    nearest = simrank.nearest_k(matrix, args.target, args.k, _metric(args))
+    sys.stdout.write(simrank.emit_ranking(nearest, args.format))
     return 0
 
 
 def _cmd_corr(args: argparse.Namespace) -> int:
-    from .correlation import correlation_matrix, top_correlated_pairs
-    from .reports import correlation_to_csv, top_pairs_csv, top_pairs_json, top_pairs_table
-
-    matrix = correlation_matrix(_load(args))
+    matrix = simrank.correlation_matrix(_load(args))
+    reports = simrank.reports  # the matrix and top-pairs emitters are not package exports
     if args.top is None:
-        sys.stdout.write(correlation_to_csv(matrix))
+        sys.stdout.write(reports.correlation_to_csv(matrix))
     else:
-        render = {"table": top_pairs_table, "csv": top_pairs_csv, "json": top_pairs_json}[args.format]
-        sys.stdout.write(render(top_correlated_pairs(matrix, args.top)))
+        render = {"table": reports.top_pairs_table, "csv": reports.top_pairs_csv,
+                  "json": reports.top_pairs_json}[args.format]
+        sys.stdout.write(render(simrank.top_correlated_pairs(matrix, args.top)))
     return 0
 
 
 def _cmd_scatter(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .reports import emit_scatter, render_scatter_svg, scatter_data
-
-    series = scatter_data(_load(args), args.x, args.y, with_trend=args.trend)
+    series = simrank.scatter_data(_load(args), args.x, args.y, with_trend=args.trend)
     if args.svg is not None:  # rendered before the file opens, so a refused series writes no file
-        Path(args.svg).write_text(render_scatter_svg(series), encoding="utf-8")
+        Path(args.svg).write_text(simrank.render_scatter_svg(series), encoding="utf-8")
     else:
-        sys.stdout.write(emit_scatter(series, args.format))
+        sys.stdout.write(simrank.emit_scatter(series, args.format))
     return 0
 
 
 def _cmd_dump_normalized(args: argparse.Namespace) -> int:
-    from .reports import normalized_to_csv
-
-    sys.stdout.write(normalized_to_csv(_normalize(_load(args))))
+    sys.stdout.write(simrank.normalized_to_csv(_normalize(_load(args))))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .dataset import validate
-
     dataset = _load(args)
-    violations = validate(dataset)
+    violations = simrank.validate(dataset)
     if not violations:  # a sound table scales, and warns of each constant column as rank does
         _normalize(dataset)
     print("\n".join(map(str, violations)) or "ok")
@@ -199,8 +179,7 @@ def main() -> None:
 def __getattr__(name: str):
     """``simrank.cli.normalize``, which perfbench/spans.py reads, loads ``normalization`` on first use."""
     if name == "normalize":
-        from .normalization import normalize
-        return normalize
+        return simrank.normalize
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -14,9 +14,10 @@ Stars follow the usual ladder: *** for p <= 0.01, ** for p <= 0.05,
 The deviations of every centred column are held packed, and ``_cross_sums``
 unpacks one row's at a time for the pair sums of ``correlation_matrix``. On
 a large table both phases split across two processes (``_split``): a forked
-child centres the later half of the columns, and then a second one computes
-the later half of the pair sums. Each copies its doubles into memory shared
-with the parent, so the matrix is the same bit for bit.
+child centres the later half of the columns, and then, if enough pairs of
+columns vary, a second one computes the later half of the pair sums. Each
+copies its doubles into memory shared with the parent, so the matrix is the
+same bit for bit.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ def significance_stars(p_value: float) -> str:
     return ""
 
 
-# The fewest deviation products (rows times pairs of included criteria) for which
-# correlation_matrix forks, once to centre half the columns and once for half the pair sums. At
+# The fewest deviation products for which correlation_matrix forks: rows times pairs of included
+# criteria to centre half the columns, and rows times the pairs it sums (those of two varying
+# columns) for half the pair sums, so columns that are nearly all constant fork no pair phase. At
 # about 90 ns a product and 165 ns a centred cell, 1 << 20 products at 17 criteria take about 95 ms
 # of pair sums and 20 ms of centring serially, against 2-3 ms for each fork, copy and wait, so a
 # host that runs only one of the CPUs at a time costs the forked call about 5%.
@@ -262,7 +264,8 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     sums_of_squares, deviations = [ss[0] for ss in centred[::2]], centred[1::2]
     varying = [i for i, ss in enumerate(sums_of_squares) if ss != 0.0]
     pairs = [(i, j) for k, i in enumerate(varying) for j in varying[k + 1:]]
-    sums = _split(lambda part: [_cross_sums(deviations, part)], pairs, lambda part: [len(part)], fork)
+    sums = _split(lambda part: [_cross_sums(deviations, part)], pairs, lambda part: [len(part)],
+                  fork and n * len(pairs) >= _FORK_MIN_PRODUCTS)
 
     # (rho, p-value, stars) of each cell; a pair with a constant column stays undefined
     stats = [[(math.nan, math.nan, "")] * len(criteria) for _ in criteria]

@@ -379,6 +379,18 @@ def test_forked_matrix_equals_serial_bit_for_bit(monkeypatch, forks_at_any_size)
     assert cell_bytes(forked) == cell_bytes(_serial_matrix(monkeypatch, dataset))
 
 
+def test_nearly_all_constant_columns_fork_only_to_centre(monkeypatch, forks):
+    """16 of the 17 included columns are constant, so there is no pair to sum: the centring
+    forks, and the pair phase, with no products at all, does not."""
+    monkeypatch.setattr(simrank.correlation, "_FORK_MIN_PRODUCTS", 1)
+    varying = _random_table(2000, seed=1121)
+    dataset = build_dataset(varying.names, {"c0": varying.column("c0"),
+                                            **{f"c{k}": [float(k)] * 2000 for k in range(1, 17)}})
+    forked = correlation_matrix(dataset)
+    assert forks == [1]
+    assert cell_bytes(forked) == cell_bytes(_serial_matrix(monkeypatch, dataset))
+
+
 def test_child_that_dies_before_writing_gives_the_same_matrix(monkeypatch, forks_at_any_size):
     dataset = _random_table(2000, seed=1115)
     parent, cross_sums = os.getpid(), simrank.correlation._cross_sums

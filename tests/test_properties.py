@@ -3,6 +3,7 @@ simrank itself never needs. ``derandomize`` and no example database keep each ru
 Hypothesis also caches the constants it reads from local source, while pytest collects, so
 its home is a temporary directory, removed at exit, and a run writes nothing into the tree."""
 
+import atexit
 import contextlib
 import csv
 import io
@@ -38,6 +39,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, configuration, example, given, settings, strategies as st  # noqa: E402  (after the skip)
 
 _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+atexit.register(_HOME.cleanup)  # explicitly, so the finalizer finds it gone and does not warn
 configuration.set_hypothesis_home_dir(_HOME.name)
 # On a failure the pytest plugin imports this optional module to suggest a patch. It loads
 # libcst, whose import warns, and under filterwarnings = error that warning would stop the

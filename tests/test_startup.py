@@ -1,6 +1,7 @@
 """What `import simrank` and each CLI subcommand load, whether each source and test module
-uses what it imports, that only the CLI module prints, warns or writes, and that only the
-dataset module reads a Dataset's table; all checked by module name, not by time."""
+uses what it imports, that only the CLI module prints, warns or writes, that the CLI reads
+simrank names only through the package, and that only the dataset module reads a Dataset's
+table; all checked by module name, not by time."""
 
 import ast
 import os
@@ -117,4 +118,20 @@ def test_only_the_dataset_module_reads_a_table():
              for path in sorted((SRC / "simrank").glob("*.py")) if path.name != "dataset.py"
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "table"]
+    assert found == []
+
+
+def _imports_simrank(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").partition(".")[0] == "simrank"
+    return isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "simrank" for a in node.names)
+
+
+def test_the_cli_imports_no_simrank_module_in_a_function():
+    """cli.py reads each simrank name as ``simrank.name``, so the package's one name-to-module
+    table decides what a subcommand loads; no function restates it with an import of its own."""
+    tree = ast.parse((SRC / "simrank" / "cli.py").read_text(encoding="utf-8"))
+    found = sorted({f"src/simrank/cli.py:{node.lineno}"
+                    for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                    for node in ast.walk(function) if _imports_simrank(node)})
     assert found == []
