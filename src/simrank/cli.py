@@ -2,14 +2,20 @@
 
 Subcommands: rank, nearest, corr, scatter, dump-normalized, validate.
 Exit codes: 0 success, 1 usage error, 2 data/validation error, including
-unreadable files; each error or warning is one "simrank: error:" or
-"simrank: warning:" line on stderr. The bundled dataset and schema are
-used unless --data/--schema override them.
+unreadable files and output that cannot be written (a full disk, a closed
+stdout); each error or warning is one "simrank: error:" or "simrank:
+warning:" line on stderr. The bundled dataset and schema are used unless
+--data/--schema override them. The process freezes its heap before it
+exits, so the interpreter's shutdown collections skip it; there is nothing
+to configure, and cli_main, which runs in process, does not freeze.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
+import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -108,17 +114,24 @@ def _normalize(dataset: Dataset) -> NormalizedMatrix:
     return matrix
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout; a closed stdout is an OSError, as a full disk is."""
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise OSError(errno.EBADF, "stdout is closed")
+    sys.stdout.write(text)
+
+
 def _cmd_rank(args: argparse.Namespace) -> int:
     matrix = _normalize(_load(args))
     ranking = simrank.rank_by_similarity(matrix, args.target, _metric(args))
-    sys.stdout.write(simrank.emit_ranking(ranking, args.format))
+    _write(simrank.emit_ranking(ranking, args.format))
     return 0
 
 
 def _cmd_nearest(args: argparse.Namespace) -> int:
     matrix = _normalize(_load(args))
     nearest = simrank.nearest_k(matrix, args.target, args.k, _metric(args))
-    sys.stdout.write(simrank.emit_ranking(nearest, args.format))
+    _write(simrank.emit_ranking(nearest, args.format))
     return 0
 
 
@@ -126,11 +139,11 @@ def _cmd_corr(args: argparse.Namespace) -> int:
     matrix = simrank.correlation_matrix(_load(args))
     reports = simrank.reports  # the matrix and top-pairs emitters are not package exports
     if args.top is None:
-        sys.stdout.write(reports.correlation_to_csv(matrix))
+        _write(reports.correlation_to_csv(matrix))
     else:
         render = {"table": reports.top_pairs_table, "csv": reports.top_pairs_csv,
                   "json": reports.top_pairs_json}[args.format]
-        sys.stdout.write(render(simrank.top_correlated_pairs(matrix, args.top)))
+        _write(render(simrank.top_correlated_pairs(matrix, args.top)))
     return 0
 
 
@@ -141,12 +154,12 @@ def _cmd_scatter(args: argparse.Namespace) -> int:
     if args.svg is not None:  # rendered before the file opens, so a refused series writes no file
         Path(args.svg).write_text(simrank.render_scatter_svg(series), encoding="utf-8")
     else:
-        sys.stdout.write(simrank.emit_scatter(series, args.format))
+        _write(simrank.emit_scatter(series, args.format))
     return 0
 
 
 def _cmd_dump_normalized(args: argparse.Namespace) -> int:
-    sys.stdout.write(simrank.normalized_to_csv(_normalize(_load(args))))
+    _write(simrank.normalized_to_csv(_normalize(_load(args))))
     return 0
 
 
@@ -155,25 +168,38 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     violations = simrank.validate(dataset)
     if not violations:  # a sound table scales, and warns of each constant column as rank does
         _normalize(dataset)
-    print("\n".join(map(str, violations)) or "ok")
+    _write(("\n".join(map(str, violations)) or "ok") + "\n")
     return 2 if violations else 0
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse printed a usage error (code 2) or --help (code 0)
-        return 1 if exc.code else 0
-    try:
-        return args.func(args)
-    except (SimrankError, OSError, ValueError) as exc:  # bad files and data, not usage
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse printed a usage error (code 2) or --help (code 0)
+            code = 1 if exc.code else 0
+        else:
+            code = args.func(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a failed write, --help's too, surfaces here while it can be reported
+        return code
+    except (SimrankError, OSError, ValueError) as exc:  # bad files, data and output, not usage
         print(f"simrank: error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    code = cli_main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:  # cli_main reported it; send what is still buffered to os.devnull, so exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    gc.freeze()  # the interpreter's shutdown collections skip a frozen heap; the OS frees it anyway
+    sys.exit(code)
 
 
 def __getattr__(name: str):

@@ -130,13 +130,6 @@ def test_unknown_name_raises():
         exec("from simrank import no_such_name", {})
 
 
-def test_run_as_module_writes_nothing_to_stderr():
-    """runpy warns on stderr if importing the package has already imported simrank.cli."""
-    done = _run("-m", "simrank.cli", "rank", "--target", "Messi")
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines()[1] == "1  Coutinho  3.769"
-
-
 def test_names_the_benchmark_tracer_reads_stay_live(monkeypatch):
     """perfbench/spans.py wraps `metrics.distance_to_target` and `normalization.normalize` in
     place and reads them back through `simrank.cli` and `simrank.ranking`."""

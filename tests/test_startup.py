@@ -1,9 +1,12 @@
 """What `import simrank` and each CLI subcommand load, whether each source and test module
 uses what it imports, that only the CLI module prints, warns or writes, that the CLI reads
 simrank names only through the package, and that only the dataset module reads a Dataset's
-table; all checked by module name, not by time."""
+table; all checked by module name, not by time. Then how a `python -m simrank.cli` process
+ends: as `cli_main` does in process, with its heap frozen, and with one error line when its
+output cannot be written."""
 
 import ast
+import gc
 import os
 import subprocess
 import sys
@@ -135,3 +138,59 @@ def test_the_cli_imports_no_simrank_module_in_a_function():
                     for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
                     for node in ast.walk(function) if _imports_simrank(node)})
     assert found == []
+
+
+def _cli(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """``python -X dev -m simrank.cli ARGV`` with stdout buffered, as by default; -X dev prints a
+    leaked ResourceWarning or an ``Exception ignored`` at shutdown on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-X", "dev", "-m", "simrank.cli", *argv],
+                          env=env, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+
+PARITY = {**{run[0][0]: run[0] for run in RUNS}, "help": ["--help"],
+          "usage-error": ["nearest", "--target", "Messi"], "data-error": ["rank", "--target", "Nobody"]}
+
+
+@pytest.mark.parametrize("argv", PARITY.values(), ids=PARITY)
+def test_run_as_module_matches_cli_main(capsys, monkeypatch, argv):
+    """runpy warns on stderr if importing the package has already imported simrank.cli."""
+    from simrank.cli import cli_main
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    code = cli_main(argv)
+    captured = capsys.readouterr()
+    done = _cli(*argv, stdout=subprocess.PIPE)
+    assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+
+
+def test_only_main_freezes_the_heap():
+    from simrank.cli import cli_main
+
+    before = gc.get_freeze_count()
+    assert cli_main(["validate"]) == 0
+    assert gc.get_freeze_count() == before
+    code = ("import gc, sys, simrank.cli\n"
+            "sys.argv[1:] = ['validate']\n"
+            "try:\n    simrank.cli.main()\n"
+            "except SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.stdout, done.stderr) == ("ok\n", "0 True\n")
+    tree = ast.parse((SRC / "simrank" / "cli.py").read_text(encoding="utf-8"))
+    freezers = [function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function) if isinstance(node, ast.Attribute) and node.attr == "freeze"]
+    assert freezers == ["main"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_disk_is_one_error_line():
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        done = _cli("rank", "--target", "Messi", stdout=full)
+    assert (done.returncode, done.stderr) == (2, "simrank: error: [Errno 28] No space left on device\n")
+
+
+def test_a_closed_stdout_is_one_error_line():
+    done = _cli("rank", "--target", "Messi", preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr) == (2, "simrank: error: [Errno 9] stdout is closed\n")
