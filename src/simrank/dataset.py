@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import struct
 from array import array
 from collections import Counter
 from itertools import chain
@@ -139,11 +140,11 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
     lines: list[int] = []
 
     def flush() -> None:
-        """Parse the batch's cells in one float() pass into one packed array, row-major, and
-        give each column its strided slice; a refused batch is rescanned row by row, so the
-        first bad cell in row-major order, schema order within a row, raises."""
+        """Parse the batch's cells in one float() pass into a row-major list and pack each column's
+        strided slice of it in one struct call, not array's per-item path; a refused batch is rescanned
+        row by row, so the first bad cell in row-major order, schema order within a row, raises."""
         try:  # float() ignores surrounding whitespace
-            flat = array("d", map(float, chain.from_iterable(map(pick, rows))))
+            flat = list(map(float, chain.from_iterable(map(pick, rows))))
             # an inf or nan cell never gives a finite sum, so only a non-finite sum needs a cell check
             clean = math.isfinite(sum(flat))
         except (ValueError, IndexError):  # a bad cell or a short row
@@ -153,8 +154,9 @@ def _read_rows(stream: IO[str], schema: CriteriaSchema) -> Dataset:
                 error = _first_bad_cell(row, line, matched, index)
                 if error is not None:
                     raise error
+        pack = struct.Struct(f"{len(rows)}d").pack  # native doubles, as array("d") stores them
         for k, column in enumerate(columns):
-            column.extend(flat[k::width])
+            column.frombytes(pack(*flat[k::width]))
         rows.clear()
         lines.clear()
 

@@ -48,6 +48,16 @@ def test_pearson_perfect_anticorrelation():
     assert pearson([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]) == -1.0
 
 
+def test_rho_rounded_past_one_is_clamped():
+    """Unclamped, this exact affine pair divides out to 1.0000000000000002, which the matrix's
+    p-value would refuse."""
+    x = [-0.4, 3.2, 1.5, 3.0, -1.5, 1.4, 2.4]
+    y = [2.0 * v - 0.6 for v in x]
+    assert pearson(x, y) == 1.0
+    cell = correlation_matrix(build_dataset([f"p{i}" for i in range(7)], {"X": x, "Y": y})).cell("X", "Y")
+    assert (cell.rho, cell.p_value, cell.stars) == (1.0, 0.0, "***")
+
+
 def test_pearson_golden_pair(reference_dataset):
     rho = pearson(reference_dataset.column("AvPasses"), reference_dataset.column("KeyP"))
     assert rho == pytest.approx(0.80, abs=CORRELATION_TOLERANCE)

@@ -392,6 +392,22 @@ def test_one_criterion_round_trip_is_bit_exact():
     assert [struct.pack("d", v) for v in reloaded.column("X")] == [struct.pack("d", v) for v in values]
 
 
+def test_round_trip_is_bit_exact_when_the_last_batch_holds_one_row():
+    """129 rows end in a one-row batch; the extremes sit on the rows either side of 64 and 128,
+    so each lands at both ends of a batch and in every column of the strided slices."""
+    rng = random.Random(20261)
+    special = [-0.0, 5e-324, 1.7976931348623157e308]
+    columns = {c: [rng.uniform(-1e6, 1e6) for _ in range(129)] for c in "XYZ"}
+    for at in (63, 64, 127, 128):
+        for k, values in enumerate(columns.values()):
+            values[at] = special[(at + k) % 3]
+    dataset = build_dataset([f"p{i}" for i in range(129)], columns)
+    reloaded = load_dataset(io.StringIO(dataset_to_csv(dataset)), dataset.schema)
+    assert reloaded.names == dataset.names
+    for c, values in columns.items():
+        assert [struct.pack("d", v) for v in reloaded.column(c)] == [struct.pack("d", v) for v in values], c
+
+
 def test_a_repeated_header_is_refused_at_row_one():
     with pytest.raises(ParseError) as exc:
         load_dataset(io.StringIO("Player,X,Y,X\na,1,2,3\nb,4,5,6\n"), _XY)

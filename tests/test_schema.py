@@ -49,6 +49,9 @@ def test_duplicate_criterion_names_rejected():
             CriterionSpec("SpG", Direction.MAXIMIZE),
             CriterionSpec("SpG", Direction.MINIMIZE),
         ))
+    with pytest.raises(ValueError) as exc:  # each repeated name once, however often it repeats
+        CriteriaSchema(tuple(CriterionSpec(name, Direction.MAXIMIZE) for name in "AABBBC"))
+    assert str(exc.value) == "duplicate criterion names: ['A', 'B']"
 
 
 def test_empty_criterion_name_rejected():

@@ -13,8 +13,10 @@ def test_incomplete_beta_edges():
 
 
 def test_incomplete_beta_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a and b must be positive"):
         regularized_incomplete_beta(-1.0, 0.5, 0.5)
+    with pytest.raises(ValueError, match="a and b must be positive"):
+        regularized_incomplete_beta(1.0, -0.5, 0.5)
     with pytest.raises(ValueError):
         regularized_incomplete_beta(1.0, 0.5, 1.5)
 
