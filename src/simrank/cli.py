@@ -114,75 +114,64 @@ def _normalize(dataset: Dataset) -> NormalizedMatrix:
     return matrix
 
 
-def _write(text: str) -> None:
-    """Write ``text`` to stdout; a closed stdout is an OSError, as a full disk is."""
-    if sys.stdout is None:  # the process started with fd 1 closed
-        raise OSError(errno.EBADF, "stdout is closed")
-    sys.stdout.write(text)
-
-
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: argparse.Namespace) -> tuple[str, int]:
     matrix = _normalize(_load(args))
     ranking = simrank.rank_by_similarity(matrix, args.target, _metric(args))
-    _write(simrank.emit_ranking(ranking, args.format))
-    return 0
+    return simrank.emit_ranking(ranking, args.format), 0
 
 
-def _cmd_nearest(args: argparse.Namespace) -> int:
+def _cmd_nearest(args: argparse.Namespace) -> tuple[str, int]:
     matrix = _normalize(_load(args))
     nearest = simrank.nearest_k(matrix, args.target, args.k, _metric(args))
-    _write(simrank.emit_ranking(nearest, args.format))
-    return 0
+    return simrank.emit_ranking(nearest, args.format), 0
 
 
-def _cmd_corr(args: argparse.Namespace) -> int:
+def _cmd_corr(args: argparse.Namespace) -> tuple[str, int]:
     matrix = simrank.correlation_matrix(_load(args))
     reports = simrank.reports  # the matrix and top-pairs emitters are not package exports
     if args.top is None:
-        _write(reports.correlation_to_csv(matrix))
-    else:
-        render = {"table": reports.top_pairs_table, "csv": reports.top_pairs_csv,
-                  "json": reports.top_pairs_json}[args.format]
-        _write(render(simrank.top_correlated_pairs(matrix, args.top)))
-    return 0
+        return reports.correlation_to_csv(matrix), 0
+    render = {"table": reports.top_pairs_table, "csv": reports.top_pairs_csv,
+              "json": reports.top_pairs_json}[args.format]
+    return render(simrank.top_correlated_pairs(matrix, args.top)), 0
 
 
-def _cmd_scatter(args: argparse.Namespace) -> int:
+def _cmd_scatter(args: argparse.Namespace) -> tuple[str, int]:
     from pathlib import Path
 
     series = simrank.scatter_data(_load(args), args.x, args.y, with_trend=args.trend)
     if args.svg is not None:  # rendered before the file opens, so a refused series writes no file
         Path(args.svg).write_text(simrank.render_scatter_svg(series), encoding="utf-8")
-    else:
-        _write(simrank.emit_scatter(series, args.format))
-    return 0
+        return "", 0
+    return simrank.emit_scatter(series, args.format), 0
 
 
-def _cmd_dump_normalized(args: argparse.Namespace) -> int:
-    _write(simrank.normalized_to_csv(_normalize(_load(args))))
-    return 0
+def _cmd_dump_normalized(args: argparse.Namespace) -> tuple[str, int]:
+    return simrank.normalized_to_csv(_normalize(_load(args))), 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
     dataset = _load(args)
     violations = simrank.validate(dataset)
     if not violations:  # a sound table scales, and warns of each constant column as rank does
         _normalize(dataset)
-    _write(("\n".join(map(str, violations)) or "ok") + "\n")
-    return 2 if violations else 0
+    return ("\n".join(map(str, violations)) or "ok") + "\n", 2 if violations else 0
 
 
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments, run the subcommand and write its text; returns the process exit code."""
     try:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse printed a usage error (code 2) or --help (code 0)
-            code = 1 if exc.code else 0
+            text, code = "", 1 if exc.code else 0
         else:
-            code = args.func(args)
+            text, code = args.func(args)
         if sys.stdout is not None:
+            sys.stdout.write(text)
             sys.stdout.flush()  # a failed write, --help's too, surfaces here while it can be reported
+        elif text:  # the process started with fd 1 closed; scatter --svg has nothing to print
+            raise OSError(errno.EBADF, "stdout is closed")
         return code
     except (SimrankError, OSError, ValueError) as exc:  # bad files, data and output, not usage
         print(f"simrank: error: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """What `import simrank` and each CLI subcommand load, whether each source and test module
-uses what it imports, that only the CLI module prints, warns or writes, that the CLI reads
-simrank names only through the package, and that only the dataset module reads a Dataset's
-table; all checked by module name, not by time. Then how a `python -m simrank.cli` process
-ends: as `cli_main` does in process, with its heap frozen, and with one error line when its
-output cannot be written."""
+uses what it imports, that only the CLI module prints, warns or writes, and only its cli_main
+to stdout, that the CLI reads simrank names only through the package, and that only the
+dataset module reads a Dataset's table; all checked by module name, not by time. Then how a
+`python -m simrank.cli` process ends: as `cli_main` does in process, with its heap frozen, and
+with one error line when its output cannot be written."""
 
 import ast
 import gc
@@ -184,6 +184,25 @@ def test_only_main_freezes_the_heap():
     assert freezers == ["main"]
 
 
+def _writes_stdout(node: ast.AST) -> bool:
+    """``sys.stdout.write(...)``, or a ``print`` with no ``file=``."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name):
+        return node.func.id == "print" and all(keyword.arg != "file" for keyword in node.keywords)
+    return (isinstance(node.func, ast.Attribute) and node.func.attr == "write"
+            and ast.unparse(node.func.value) == "sys.stdout")
+
+
+def test_only_cli_main_writes_stdout():
+    """Each subcommand returns its text and exit code; cli_main writes the text where a failed
+    write becomes the one error line."""
+    tree = ast.parse((SRC / "simrank" / "cli.py").read_text(encoding="utf-8"))
+    writers = [function.name for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function) if _writes_stdout(node)]
+    assert writers == ["cli_main"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_a_full_disk_is_one_error_line():
     with open("/dev/full", "w", encoding="utf-8") as full:
@@ -191,6 +210,18 @@ def test_a_full_disk_is_one_error_line():
     assert (done.returncode, done.stderr) == (2, "simrank: error: [Errno 28] No space left on device\n")
 
 
-def test_a_closed_stdout_is_one_error_line():
-    done = _cli("rank", "--target", "Messi", preexec_fn=lambda: os.close(1))
-    assert (done.returncode, done.stderr) == (2, "simrank: error: [Errno 9] stdout is closed\n")
+CLOSED = "simrank: error: [Errno 9] stdout is closed\n"
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    (["rank", "--target", "Messi"], 2, CLOSED),
+    (["validate"], 2, CLOSED),
+    (["scatter", "-x", "KeyP", "-y", "SpG", "--svg", "plot.svg"], 0, ""),
+], ids=["rank", "validate", "scatter-svg"])
+def test_a_closed_stdout_is_one_error_line(tmp_path, argv, code, stderr):
+    """A command with text to print fails on a closed stdout; scatter --svg prints nothing, so it
+    writes its file and exits 0."""
+    done = _cli(*argv, preexec_fn=lambda: os.close(1), cwd=tmp_path)
+    assert (done.returncode, done.stderr) == (code, stderr)
+    written = {path.name: path.read_text(encoding="utf-8")[:5] for path in tmp_path.iterdir()}
+    assert written == ({"plot.svg": "<svg "} if code == 0 else {})
