@@ -13,8 +13,10 @@ to configure, and cli_main, which runs in process, does not freeze.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import gc
+import io
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -42,11 +44,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_data_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--data", metavar="CSV", help="CSV file replacing the bundled dataset")
-    sub.add_argument("--schema", metavar="JSON", help="schema file replacing the bundled schema")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="simrank", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -55,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     similar.add_argument("--target", required=True)
     similar.add_argument("--metric", choices=["p1", "p2"], default="p1")
     similar.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    _add_data_options(similar)
 
     rank = commands.add_parser("rank", parents=[similar],
                                help="rank all players by similarity to a target")
@@ -71,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit only the K most correlated pairs")
     corr.add_argument("--format", choices=["table", "csv", "json"], default="table",
                       help="output format for --top (the matrix is always CSV)")
-    _add_data_options(corr)
     corr.set_defaults(func=_cmd_corr)
 
     scatter = commands.add_parser("scatter", help="raw (x, y) points per player")
@@ -80,17 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     scatter.add_argument("--trend", action="store_true", help="add a least-squares trend line")
     scatter.add_argument("--svg", metavar="PATH", help="write an SVG plot instead of data")
     scatter.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_data_options(scatter)
     scatter.set_defaults(func=_cmd_scatter)
 
     dump = commands.add_parser("dump-normalized", help="the scaled [0,1] matrix")
-    _add_data_options(dump)
     dump.set_defaults(func=_cmd_dump_normalized)
 
     check = commands.add_parser("validate", help="check dataset invariants")
-    _add_data_options(check)
     check.set_defaults(func=_cmd_validate)
 
+    for sub in commands.choices.values():  # _load reads both options, whatever the subcommand
+        sub.add_argument("--data", metavar="CSV", help="CSV file replacing the bundled dataset")
+        sub.add_argument("--schema", metavar="JSON", help="schema file replacing the bundled schema")
     return parser
 
 
@@ -162,9 +157,10 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments, run the subcommand and write its text; returns the process exit code."""
     try:
         try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse printed a usage error (code 2) or --help (code 0)
-            text, code = "", 1 if exc.code else 0
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # a usage error went to stderr (code 2); --help's text is in printed
+            text, code = printed.getvalue(), 1 if exc.code else 0
         else:
             text, code = args.func(args)
         if sys.stdout is not None:

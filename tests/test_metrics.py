@@ -22,6 +22,7 @@ def test_metric_exponent_must_be_at_least_one():
     with pytest.raises(ValueError):
         MetricChoice(math.inf)
     assert MetricChoice(1.5).p == 1.5
+    assert MetricChoice() == MANHATTAN
 
 
 def test_identical_points_have_zero_distance():
@@ -47,6 +48,17 @@ def test_differences_whose_powers_underflow_keep_their_distance(p):
     a, b = (0.0, 0.0, 0.5), (1e-200, -1e-200, 0.5)  # 1e-200 ** p underflows to 0
     want = 2.0 ** (1.0 / p) * 1e-200
     assert minkowski_distance(a, b, MetricChoice(p)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_a_subnormal_sum_of_powers_keeps_its_distance():
+    """Squares whose sum is below the smallest normal double, 2**-1022, have lost bits, so the sum
+    is taken again over the differences divided by the largest; a sum of exactly 2**-1022 is used
+    as it is."""
+    tiny = (5e-156,) * 500  # each square is subnormal, and so is their sum, 1.25e-308
+    assert minkowski_distance((0.0,) * 500, tiny, EUCLIDEAN) == pytest.approx(math.sqrt(500) * 5e-156,
+                                                                              rel=1e-15, abs=0.0)
+    edge = [k * 2.0 ** -516 for k in (1, 1, 2, 17, 27)]  # squares sum to 1024 * 2**-1032, exactly
+    assert minkowski_distance((0.0,) * 5, edge, EUCLIDEAN) == 2.0 ** -511
 
 
 @pytest.mark.parametrize("a, b", [([0.0], [1e200]), ([0.0, 0.0], [1e300, 1e300]), ([0.0, 3e200], [4e200, 0.0]),

@@ -67,6 +67,13 @@ def test_get_unknown_criterion():
 def test_json_round_trip():
     schema = reference_schema()
     assert schema_from_json(io.StringIO(schema_to_json(schema))) == schema
+    two = CriteriaSchema((CriterionSpec("KeyP", Direction.MAXIMIZE, True),
+                          CriterionSpec("Fouls", Direction.MINIMIZE, False)))
+    assert schema_to_json(two) == (
+        '[\n'
+        '  {\n    "name": "KeyP",\n    "direction": "max",\n    "included": true\n  },\n'
+        '  {\n    "name": "Fouls",\n    "direction": "min",\n    "included": false\n  }\n'
+        ']\n')
 
 
 def test_sample_schema_file_matches_compiled():

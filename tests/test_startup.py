@@ -217,10 +217,12 @@ CLOSED = "simrank: error: [Errno 9] stdout is closed\n"
     (["rank", "--target", "Messi"], 2, CLOSED),
     (["validate"], 2, CLOSED),
     (["scatter", "-x", "KeyP", "-y", "SpG", "--svg", "plot.svg"], 0, ""),
-], ids=["rank", "validate", "scatter-svg"])
+    (["--help"], 2, CLOSED),
+    (["rank", "--help"], 2, CLOSED),
+], ids=["rank", "validate", "scatter-svg", "help", "rank-help"])
 def test_a_closed_stdout_is_one_error_line(tmp_path, argv, code, stderr):
-    """A command with text to print fails on a closed stdout; scatter --svg prints nothing, so it
-    writes its file and exits 0."""
+    """A command with text to print fails on a closed stdout, --help too; scatter --svg prints
+    nothing, so it writes its file and exits 0."""
     done = _cli(*argv, preexec_fn=lambda: os.close(1), cwd=tmp_path)
     assert (done.returncode, done.stderr) == (code, stderr)
     written = {path.name: path.read_text(encoding="utf-8")[:5] for path in tmp_path.iterdir()}
