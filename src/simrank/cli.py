@@ -28,7 +28,6 @@ from .errors import SimrankError
 if TYPE_CHECKING:
     from .dataset import Dataset
     from .metrics import MetricChoice
-    from .normalization import NormalizedMatrix
 
 
 def _int_at_least(low: int):
@@ -100,23 +99,22 @@ def _metric(args: argparse.Namespace) -> MetricChoice:
     return {"p1": simrank.MANHATTAN, "p2": simrank.EUCLIDEAN}[args.metric]
 
 
-def _normalize(dataset: Dataset) -> NormalizedMatrix:
-    """``normalize(dataset)``, then one warning line on stderr for each constant column it
-    scaled to 0; a refused table raises first, so it prints its error alone."""
-    matrix = simrank.normalize(dataset)
-    for name in matrix.degenerate:
+def _warn_constant(names: Sequence[str]) -> None:
+    """One warning line on stderr for each constant column, which scales to 0."""
+    for name in names:
         print(f"simrank: warning: column {name!r} is constant; scaled to 0 for all players", file=sys.stderr)
-    return matrix
 
 
 def _cmd_rank(args: argparse.Namespace) -> tuple[str, int]:
-    matrix = _normalize(_load(args))
+    matrix = simrank.normalize(_load(args))
+    _warn_constant(matrix.degenerate)
     ranking = simrank.rank_by_similarity(matrix, args.target, _metric(args))
     return simrank.emit_ranking(ranking, args.format), 0
 
 
 def _cmd_nearest(args: argparse.Namespace) -> tuple[str, int]:
-    matrix = _normalize(_load(args))
+    matrix = simrank.normalize(_load(args))
+    _warn_constant(matrix.degenerate)
     nearest = simrank.nearest_k(matrix, args.target, args.k, _metric(args))
     return simrank.emit_ranking(nearest, args.format), 0
 
@@ -142,14 +140,16 @@ def _cmd_scatter(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_dump_normalized(args: argparse.Namespace) -> tuple[str, int]:
-    return simrank.normalized_to_csv(_normalize(_load(args))), 0
+    matrix = simrank.normalize(_load(args))
+    _warn_constant(matrix.degenerate)
+    return simrank.normalized_to_csv(matrix), 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
     dataset = _load(args)
     violations = simrank.validate(dataset)
-    if not violations:  # a sound table scales, and warns of each constant column as rank does
-        _normalize(dataset)
+    if not violations:  # a sound table warns of each constant column as rank does, without scaling
+        _warn_constant(simrank.dataset.column_ranges(dataset)[1])
     return ("\n".join(map(str, violations)) or "ok") + "\n", 2 if violations else 0
 
 

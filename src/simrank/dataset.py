@@ -221,17 +221,21 @@ def load_reference_dataset(schema: CriteriaSchema | None = None) -> Dataset:
 def _extrema(column: Sequence[float], name: str) -> tuple[float, float]:
     """(min, max) of one raw column; NonFiniteSpread(name) if max - min is not finite or a
     cell is nan, MissingValue(name) if a cell is None or not numeric. The one max - min rule
-    of normalize, validate and the SVG axes."""
+    of column_ranges (so of normalize), validate and reports._axis_range (the SVG axes)."""
     try:
-        lo, hi = min(column), max(column)
-        spread = hi - lo
-        if math.isnan(sum(column)):  # a nan cell, which min and max step over unless it comes first
-            spread = math.nan
+        lo, hi, total = min(column), max(column), sum(column)
     except TypeError:  # a None cell, which only a hand-built Dataset holds
         raise MissingValue(name) from None
-    if not math.isfinite(spread):
+    if not math.isfinite(hi - lo) or math.isnan(total):  # min and max step over a nan cell unless first
         raise NonFiniteSpread(name)
     return lo, hi
+
+
+def column_ranges(dataset: Dataset) -> tuple[dict[str, tuple[float, float]], tuple[str, ...]]:
+    """Each included column's (min, max) by ``_extrema`` in schema order, and the constant ones, which
+    scaling sends to 0; column by column, the first refused raises ``column()``'s error, then ``_extrema``'s."""
+    ranges = {c: _extrema(dataset.column(c), c) for c in dataset.schema.included_names()}
+    return ranges, tuple(c for c, (lo, hi) in ranges.items() if lo == hi)
 
 
 def validate(dataset: Dataset) -> list[Violation]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dataset import Dataset, _extrema
+from .dataset import Dataset, column_ranges
 from .errors import InsufficientSamples, UnknownPlayer
 from .schema import Direction
 
@@ -47,18 +47,14 @@ def normalize(dataset: Dataset) -> NormalizedMatrix:
     n = len(dataset.names)
     if n < 2:
         raise InsufficientSamples(f"min-max scaling needs at least 2 players, got {n}")
-    criteria = dataset.schema.included_names()
-    columns = [dataset.column(c) for c in criteria]
+    ranges, constant = column_ranges(dataset)
     scaled = []
-    degenerate = []
-    for name, column in zip(criteria, columns):
-        lo, hi = _extrema(column, name)
-        spread = hi - lo
-        if spread == 0.0:
-            degenerate.append(name)
+    for name, (lo, hi) in ranges.items():
+        column, spread = dataset.column(name), hi - lo
+        if name in constant:
             scaled.append([0.0] * n)
         elif dataset.schema.get(name).direction is Direction.MAXIMIZE:
             scaled.append([(x - lo) / spread for x in column])
         else:
             scaled.append([(hi - x) / spread for x in column])
-    return NormalizedMatrix(dataset.names, criteria, tuple(zip(*scaled)), tuple(degenerate))
+    return NormalizedMatrix(dataset.names, tuple(ranges), tuple(zip(*scaled)), constant)
