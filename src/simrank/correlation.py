@@ -80,11 +80,11 @@ def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float, int]:
     [2**-500, 2**500]; the column is then centred again as x * 2**k, with max |x| * 2**k in
     [0.5, 1). That is exact, Pearson and the least-squares slope are scale-free, and every
     later sum, root and product stays in range.
-    The mean is unscaled. NonFiniteSpread(name) for a column holding inf or nan, and
-    MissingValue(name) for one holding a cell that is not a number. The deviations come back
-    packed, 8 bytes each against a list's 32, as correlation_matrix holds every column at once;
-    _cross_sums unpacks one row's at a time, since iterating a list, unlike an array, boxes no
-    float.
+    The mean is unscaled. NonFiniteSpread(name) for a column holding inf, nan or an int that no
+    double holds, and MissingValue(name) for one holding a cell that is not a number. The
+    deviations come back packed, 8 bytes each against a list's 32, as correlation_matrix holds
+    every column at once; _cross_sums unpacks one row's at a time, since iterating a list,
+    unlike an array, boxes no float.
     """
     k = 0
     try:  # a None cell, which only a hand-built Dataset holds, raises TypeError in any pass
@@ -102,6 +102,8 @@ def _centre(xs: Sequence[float], name: str) -> tuple[float, array, float, int]:
                 mean, deviations, ss = _moments([math.ldexp(x, k) for x in xs])
     except TypeError:
         raise MissingValue(name) from None
+    except OverflowError:  # an int that no double holds, met by isfinite or frexp
+        ss = math.inf
     if not math.isfinite(ss):
         raise NonFiniteSpread(name)
     return math.ldexp(mean, -k), array("d", deviations), ss, k

@@ -219,14 +219,18 @@ def load_reference_dataset(schema: CriteriaSchema | None = None) -> Dataset:
 
 
 def _extrema(column: Sequence[float], name: str) -> tuple[float, float]:
-    """(min, max) of one raw column; NonFiniteSpread(name) if max - min is not finite or a
-    cell is nan, MissingValue(name) if a cell is None or not numeric. The one max - min rule
-    of column_ranges (so of normalize), validate and reports._axis_range (the SVG axes)."""
+    """(min, max) of one raw column; NonFiniteSpread(name) if max - min is not finite, a cell is
+    nan, or an int cell or sum is beyond the double range, MissingValue(name) if a cell is None or
+    not numeric. The one max - min rule of column_ranges (so of normalize), validate and
+    reports._axis_range (the SVG axes)."""
     try:
         lo, hi, total = min(column), max(column), sum(column)
+        finite = math.isfinite(hi - lo) and not math.isnan(total)  # min and max step over a nan unless first
     except TypeError:  # a None cell, which only a hand-built Dataset holds
         raise MissingValue(name) from None
-    if not math.isfinite(hi - lo) or math.isnan(total):  # min and max step over a nan cell unless first
+    except OverflowError:  # an int that no double holds
+        finite = False
+    if not finite:
         raise NonFiniteSpread(name)
     return lo, hi
 
@@ -248,7 +252,10 @@ def validate(dataset: Dataset) -> list[Violation]:
                                     "min-max scaling needs at least 2 players"))
 
     for c in dataset.schema.included_names():
-        column = dataset.table.get(c, (None,) * len(names))
+        column = dataset.table.get(c)
+        if column is None:  # the error column() raises for it
+            violations.append(Violation("UnknownCriterion", c, "criterion not in dataset"))
+            continue
         if len(column) != len(names):
             violations.append(Violation("LengthMismatch", c,
                                         f"{len(column)} values for {len(names)} players"))
@@ -260,6 +267,8 @@ def validate(dataset: Dataset) -> list[Violation]:
                     finite.append(v)
                 else:
                     violations.append(Violation("NonFiniteValue", f"{name}/{c}", f"value is {v!r}"))
+            except OverflowError:  # an int that no double holds
+                violations.append(Violation("NonFiniteValue", f"{name}/{c}", "value is beyond the double range"))
             except TypeError:  # None, the missing value, or a cell that is not a number
                 violations.append(Violation("MissingValue", f"{name}/{c}", "included criterion has no value"
                                             if v is None else f"value {v!r} is not a number"))

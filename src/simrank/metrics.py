@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import NamedTuple, Sequence
 
 from .errors import LengthMismatch
@@ -49,7 +50,7 @@ def minkowski_distance(a: Sequence[float], b: Sequence[float],
         total = math.inf
     if not 2.0 ** -1022 <= total < math.inf:  # a == b, the powers underflowed, or they overflowed
         top = max(map(abs, map(operator.sub, a, b)), default=0.0)
-        if 0.0 < top < math.inf:  # divided by the largest difference, the largest term is 1
+        if 0.0 < top <= sys.float_info.max:  # divided by the largest difference, the largest term is 1
             return top * math.fsum((abs(x - y) / top) ** p for x, y in zip(a, b)) ** (1.0 / p)
     return total ** (1.0 / p)
 

@@ -16,8 +16,11 @@ from simrank import (
     Dataset,
     Direction,
     DuplicatePlayer,
+    EUCLIDEAN,
     InsufficientSamples,
     LengthMismatch,
+    MANHATTAN,
+    MetricChoice,
     MissingColumn,
     MissingValue,
     NonFiniteSpread,
@@ -27,7 +30,9 @@ from simrank import (
     correlation_matrix,
     dataset_to_csv,
     load_dataset,
+    minkowski_distance,
     normalize,
+    pearson,
     rank_by_similarity,
     reference_schema,
     render_scatter_svg,
@@ -263,6 +268,50 @@ def test_a_non_numeric_cell_is_a_missing_value_everywhere():
     for compute in (normalize, correlation_matrix):
         with pytest.raises(MissingValue, match="'X'"):
             compute(dataset)
+
+
+def test_the_first_bad_column_in_schema_order_is_refused_everywhere():
+    """Column by column, length then cells: a None cell in A wins over B's wrong length."""
+    dataset = build_dataset("abc", {"A": [1.0, 2.0, 4.0], "B": [3.0, 1.0, 2.0]})
+    dataset = dataset._replace(table={"A": (1.0, None, 4.0), "B": (3.0, 1.0)})
+    assert [v.subject for v in validate(dataset)] == ["b/A", "B"]
+    for compute in (normalize, correlation_matrix):
+        with pytest.raises(MissingValue, match="'A'"):
+            compute(dataset)
+
+
+def test_a_missing_included_column_is_an_unknown_criterion_everywhere():
+    """validate flags a hand-built table that lacks an included column as the column() error
+    every computation raises for it, once, not once per player."""
+    dataset = build_dataset("abc", {"X": [1.0, 2.0, 4.0], "Y": [3.0, 1.0, 2.0]})
+    dataset = dataset._replace(table={"X": dataset.table["X"]})
+    assert [tuple(v) for v in validate(dataset)] == [("UnknownCriterion", "Y", "criterion not in dataset")]
+    for compute in (normalize, correlation_matrix, lambda ds: scatter_data(ds, "X", "Y")):
+        with pytest.raises(UnknownCriterion) as exc:
+            compute(dataset)
+        assert str(exc.value) == "criterion not in dataset: 'Y'"
+
+
+@pytest.mark.parametrize("big", [2 ** 1024, 10 ** 400], ids=["2**1024", "10**400"])
+@pytest.mark.parametrize("at", [0, 1], ids=["first", "second"])
+def test_an_int_cell_beyond_the_double_range_is_refused_everywhere(big, at):
+    """A hand-built int cell that no double holds: validate reports it, every computation refuses
+    it as a SimrankError rather than letting float()'s OverflowError escape, and a distance to it is inf."""
+    column = [0.0, 1.0, 4.0]
+    column[at] = big
+    dataset = build_dataset("abc", {"X": [0.0, 1.0, 4.0], "Y": [3.0, 1.0, 2.0]})
+    dataset = dataset._replace(table={**dataset.table, "X": tuple(column)})
+    player = "abc"[at]
+    assert [tuple(v) for v in validate(dataset)] == [
+        ("NonFiniteValue", f"{player}/X", "value is beyond the double range")]
+    for compute in (normalize, correlation_matrix, lambda ds: pearson(ds.column("X"), ds.column("Y")),
+                    lambda ds: scatter_data(ds, "X", "Y", with_trend=True),
+                    lambda ds: scatter_data(ds, "Y", "X", with_trend=True),
+                    lambda ds: render_scatter_svg(scatter_data(ds, "X", "Y"))):
+        with pytest.raises(NonFiniteSpread, match="'[Xx]'"):
+            compute(dataset)
+    for metric in (MANHATTAN, EUCLIDEAN, MetricChoice(3.0)):
+        assert minkowski_distance([0, 0], column[:2], metric) == math.inf
 
 
 @pytest.mark.parametrize("compute", [

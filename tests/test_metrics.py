@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -62,7 +63,8 @@ def test_a_subnormal_sum_of_powers_keeps_its_distance():
 
 
 @pytest.mark.parametrize("a, b", [([0.0], [1e200]), ([0.0, 0.0], [1e300, 1e300]), ([0.0, 3e200], [4e200, 0.0]),
-                                  ([0.0, 0.0], [1e308, 1e308]), ([-1e154, 0.0], [1e154, 1e-300])])
+                                  ([0.0, 0.0], [1e308, 1e308]), ([-1e154, 0.0], [1e154, 1e-300]),
+                                  ([0.0], [sys.float_info.max])])
 def test_differences_whose_powers_overflow_keep_their_distance(a, b):
     """A power or the sum beyond the double range is taken again over the differences divided
     by the largest, so a finite distance comes out as math.hypot gives it."""
